@@ -23,7 +23,6 @@ from __future__ import annotations
 from .errors import DomainError, ReconstructionError
 from .perms import (
     Permutation,
-    _block_spans,
     _is_indecomposable,
     compose_blocks,
     contains,
@@ -33,15 +32,13 @@ from .perms import (
 )
 from .trees import (
     LabeledPlaneTree,
+    _fold,
     classify_shape,
-    normalize_tree,
     postorder_positions,
-    subtree_size,
     validate_beta01,
 )
 
 _PATTERN_1342 = Permutation((1, 3, 4, 2))
-_PATTERN_132 = Permutation((1, 3, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +183,26 @@ def f_inverse(tree: LabeledPlaneTree) -> Permutation:
 # the zero-tree map (shapes <-> 132-avoiders ending with n)
 # ---------------------------------------------------------------------------
 
+def _position_arrays(tree: LabeledPlaneTree) -> tuple[list[int], list[int], list[list[int]]]:
+    """Labels, parents and child lists indexed by reading position 1..n.
+
+    Index 0 is unused; it also stands for "no parent", the root's entry.
+    """
+    label, parent, kids = [0], [0], [[]]
+
+    def record(node: LabeledPlaneTree, child_positions: list[int]) -> int:
+        pos = len(label)
+        label.append(node.label)
+        parent.append(0)
+        kids.append(child_positions)
+        for c in child_positions:
+            parent[c] = pos
+        return pos
+
+    _fold(tree, record)
+    return label, parent, kids
+
+
 def shape_to_perm(tree: LabeledPlaneTree) -> Permutation:
     """Map an all-zero tree to the 132-avoiding permutation ending with n.
 
@@ -197,38 +214,47 @@ def shape_to_perm(tree: LabeledPlaneTree) -> Permutation:
     """
     if not classify_shape(tree).all_zero_labels:
         raise DomainError("tree has a nonzero label")
-    return Permutation(tuple(_shape_to_vals(tree)))
+    return Permutation(tuple(_shape_to_vals(_position_arrays(tree)[2])))
 
 
-def _shape_to_vals(tree: LabeledPlaneTree) -> list[int]:
-    n = subtree_size(tree)
-    sizes = [subtree_size(c) for c in tree.children]
-    out: list[int] = []
-    for i, child in enumerate(tree.children):
-        offset = sum(sizes[i + 1:])
-        out.extend(v + offset for v in _shape_to_vals(child))
-    out.append(n)
-    return out
+def _shape_to_vals(kids: list[list[int]]) -> list[int]:
+    """Values of ``shape_to_perm`` in reading order, from the child lists.
+
+    A node's ancestors and the branches left of its own come first in
+    pre-order and hold the larger values, so its value is n minus its
+    pre-order index: one top-down pass.
+    """
+    n = len(kids) - 1
+    vals = [0] * n
+    stack = [n]
+    for value in range(n, 0, -1):
+        pos = stack.pop()
+        vals[pos - 1] = value
+        stack.extend(reversed(kids[pos]))
+    return vals
 
 
 def perm_to_shape(p: Permutation) -> LabeledPlaneTree:
-    """Invert ``shape_to_perm``: block boundaries of p minus its last entry become branches."""
-    if contains(p, _PATTERN_132):
-        raise DomainError("permutation contains 132")
-    return _vals_to_shape(p.values)
-
-
-def _vals_to_shape(vals: tuple[int, ...]) -> LabeledPlaneTree:
-    n = len(vals)
-    if n == 0:
+    """Invert ``shape_to_perm``: each entry's parent is the next larger entry to its right."""
+    vals = p.values
+    if not vals:
         raise DomainError("the shape map needs a nonempty permutation")
-    if vals[-1] != max(vals):
+    if vals[-1] != len(vals):
         raise DomainError("permutation does not end with its largest entry")
-    kids = []
-    prefix = vals[:-1]
-    for a, b in _block_spans(prefix):
-        kids.append(_vals_to_shape(prefix[a:b]))
-    return LabeledPlaneTree(0, tuple(kids))
+    open_nodes: list[tuple[int, LabeledPlaneTree]] = []  # entries still waiting for a parent
+    for v in vals:
+        first = len(open_nodes)
+        while first and open_nodes[first - 1][0] < v:
+            first -= 1
+        kids = tuple(node for _, node in open_nodes[first:])
+        del open_nodes[first:]
+        open_nodes.append((v, LabeledPlaneTree(0, kids)))
+    shape = open_nodes[0][1]
+    # shape_to_perm maps shapes onto the 132-avoiders ending with n, and the
+    # pass above inverts it there, so this test is exact
+    if shape_to_perm(shape) != p:
+        raise DomainError("permutation contains 132")
+    return shape
 
 
 # ---------------------------------------------------------------------------
@@ -254,68 +280,24 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     if not _is_indecomposable(p.values):
         raise DomainError("permutation is decomposable")
 
-    shape = perm_to_shape(normalize(p))
-    sizes = [subtree_size(node) for node in postorder_positions(shape)]
     max_reach = _max_reach(p.values)
+    pos = 0
 
-    labels = [0] * (n + 1)  # 1-based by reading position; index n fixed below
-    for pos in range(1, n):
-        low = pos - sizes[pos - 1] + 1
-        labels[pos] = sum(1 for j in range(low, pos + 1) if max_reach[j - 1] > pos - 1)
+    def relabel(node: LabeledPlaneTree, kids: list[tuple[int, LabeledPlaneTree]]):
+        nonlocal pos
+        pos += 1
+        size = 1 + sum(s for s, _ in kids)
+        children = tuple(child for _, child in kids)
+        if pos < n:
+            label = sum(1 for j in range(pos - size, pos) if max_reach[j] >= pos)
+        else:
+            label = sum(child.label for child in children)
+        return size, LabeledPlaneTree(label, children)
 
-    counter = [0]
-
-    def rebuild(node: LabeledPlaneTree) -> LabeledPlaneTree:
-        kids = tuple(rebuild(c) for c in node.children)
-        counter[0] += 1
-        pos = counter[0]
-        label = labels[pos] if pos < n else sum(k.label for k in kids)
-        return LabeledPlaneTree(label, kids)
-
-    result = rebuild(shape)
+    _, result = _fold(perm_to_shape(normalize(p)), relabel)
     if not validate_beta01(result):  # always holds on the stated domain; failure is a bug
         raise ReconstructionError(f"forward map produced an invalid tree for {p}")
     return result
-
-
-class _Node:
-    """Mutable working node for the reconstruction; ``pos`` is the original position."""
-
-    __slots__ = ("label", "children", "parent", "pos")
-
-    def __init__(self, label: int):
-        self.label = label
-        self.children: list["_Node"] = []
-        self.parent: "_Node | None" = None
-        self.pos = 0
-
-
-def _build_nodes(tree: LabeledPlaneTree) -> tuple[_Node, list[_Node]]:
-    order: list[_Node] = []
-
-    def rec(t: LabeledPlaneTree) -> _Node:
-        node = _Node(t.label)
-        for c in t.children:
-            child = rec(c)
-            child.parent = node
-            node.children.append(child)
-        order.append(node)
-        node.pos = len(order)
-        return node
-
-    return rec(tree), order
-
-
-def _live_postorder(root: _Node) -> list[_Node]:
-    out: list[_Node] = []
-
-    def rec(node: _Node):
-        for c in node.children:
-            rec(c)
-        out.append(node)
-
-    rec(root)
-    return out
 
 
 def F_inverse(tree: LabeledPlaneTree) -> Permutation:
@@ -329,129 +311,115 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
     remaining ancestors drop by one, and whenever the leftover content splits
     into blocks -- detectable from the minima alone -- each block continues as
     an independent subtree with its own run of consecutive values.
+
+    Nodes are reading positions.  Deleting a node or cutting off a block keeps
+    the reading order of what is left, so every subtree is carried along as
+    the sorted list of its positions and is never walked again.
     """
     if not validate_beta01(tree):
         raise DomainError("invalid labeled tree")
-    n = subtree_size(tree)
-    root, order = _build_nodes(tree)
+    label, parent, kids = _position_arrays(tree)
+    n = len(label) - 1
 
-    base = shape_to_perm(normalize_tree(tree))
-    minima_positions = [pos for pos, _ in left_to_right_minima(base).minima]
-    assigned: dict[_Node, int] = {}
-    for node in order:
-        if not node.children:
-            assigned[node] = base.values[node.pos - 1]
-    if sorted(node.pos for node in assigned) != minima_positions:
+    base = _shape_to_vals(kids)
+    leaves = [pos for pos in range(1, n + 1) if not kids[pos]]
+    if leaves != [pos for pos, _ in left_to_right_minima(Permutation(tuple(base))).minima]:
         raise ReconstructionError("leaves do not line up with the left-to-right minima")
+    # value placed at each position, 0 while unplaced; a placed node leaves the
+    # tree, so among the nodes still in it only the minima carry a value
+    out = [0] * (n + 1)
+    for pos in leaves:
+        out[pos] = base[pos - 1]
 
-    def solve(sub_root: _Node, values: list[int]) -> None:
-        """Place ``values`` (descending, minima included) onto the subtree."""
+    # each item: the top of a subtree, its positions in reading order, and the
+    # values (descending, minima included) to place on it
+    work = [(n, list(range(1, n + 1)), list(range(n, 0, -1)))]
+    while work:
+        top, nodes, values = work.pop()
         while True:
-            live = _live_postorder(sub_root)
-            if len(live) != len(values):
+            if len(nodes) != len(values):
                 raise ReconstructionError("node/value count mismatch")
-            if len(live) == 1:
-                node = live[0]
-                if node in assigned:
-                    if assigned[node] != values[0]:
-                        raise ReconstructionError("pre-assigned minimum clashes with its block")
-                else:
-                    assigned[node] = values[0]
-                return
+            if len(nodes) == 1:
+                if out[top] and out[top] != values[0]:
+                    raise ReconstructionError("pre-assigned minimum clashes with its block")
+                out[top] = values[0]
+                break
 
             largest = values[0]
-            if any(assigned.get(node) == largest for node in live):
+            if any(out[pos] == largest for pos in nodes):
                 raise ReconstructionError("largest remaining value is a minimum")
 
-            candidate = None
-            for node in live:
-                if node is sub_root or node.label <= 0:
+            candidate = 0
+            for pos in nodes:
+                if pos == top or label[pos] <= 0:
                     continue
-                ancestor = node.parent
-                while ancestor is not sub_root and ancestor.label > 0:
-                    ancestor = ancestor.parent
-                if ancestor is sub_root:
-                    candidate = node
+                ancestor = parent[pos]
+                while ancestor != top and label[ancestor] > 0:
+                    ancestor = parent[ancestor]
+                if ancestor == top:
+                    candidate = pos
                     break
 
-            if candidate is not None:
-                assigned[candidate] = largest
-                values = values[1:]
-                parent = candidate.parent
-                index = parent.children.index(candidate)
-                for c in candidate.children:
-                    c.parent = parent
-                parent.children[index: index + 1] = candidate.children
-                ancestor = parent
-                while ancestor is not sub_root:
-                    ancestor.label -= 1
-                    ancestor = ancestor.parent
-                forest = [sub_root]
+            values = values[1:]
+            if candidate:
+                out[candidate] = largest
+                up = parent[candidate]
+                index = kids[up].index(candidate)
+                for c in kids[candidate]:
+                    parent[c] = up
+                kids[up][index: index + 1] = kids[candidate]
+                while up != top:
+                    label[up] -= 1
+                    up = parent[up]
+                forest = [top]
+                nodes = [pos for pos in nodes if pos != candidate]
             else:
                 # no positive path: the largest value sits at the current root
-                assigned[sub_root] = largest
-                values = values[1:]
-                forest = list(sub_root.children)
+                out[top] = largest
+                forest = kids[top]
                 for c in forest:
-                    c.parent = None
+                    parent[c] = 0
                 if not forest:
-                    return
+                    break
+                nodes = nodes[:-1]
 
             # Split the leftover content wherever the class forces a cut: a cut
             # after position c is valid iff the running minimum there equals the
             # c-th largest remaining value, and the minima are already placed.
-            nodes: list[_Node] = []
-            for t in forest:
-                nodes.extend(_live_postorder(t))
-            total = len(nodes)
             blocks: list[tuple[int, int]] = []
             start = 0
             running_min: int | None = None
-            for c in range(1, total + 1):
-                node = nodes[c - 1]
-                if not node.children:
-                    v = assigned[node]
-                    running_min = v if running_min is None or v < running_min else running_min
+            for c, pos in enumerate(nodes, start=1):
+                if out[pos] and (running_min is None or out[pos] < running_min):
+                    running_min = out[pos]
                 if running_min is None:
                     raise ReconstructionError("reading order does not start at a leaf")
                 if running_min == values[c - 1]:
                     blocks.append((start, c))
                     start = c
-            if start != total:
+            if start != len(nodes):
                 raise ReconstructionError("cut decomposition did not cover the content")
 
             if len(blocks) == 1 and len(forest) == 1:
-                sub_root = forest[0]
+                top = forest[0]
                 continue
 
-            subproblems = []
-            offset = 0
             for a, b in blocks:
-                block_nodes = nodes[a:b]
-                block_set = set(block_nodes)
-                tops = [nd for nd in block_nodes if nd.parent is None or nd.parent not in block_set]
+                block = nodes[a:b]
+                block_set = set(block)
+                tops = [pos for pos in block if parent[pos] not in block_set]
                 if len(tops) != 1:
                     raise ReconstructionError(f"block with {len(tops)} components")
-                top = tops[0]
-                if top.parent is not None:
-                    top.parent.children.remove(top)
-                    top.parent = None
-                chunk = values[offset: offset + len(block_nodes)]
-                offset += len(block_nodes)
-                for nd in block_nodes:
-                    if not nd.children and assigned[nd] not in chunk:
-                        raise ReconstructionError("minimum fell outside its value block")
-                subproblems.append((top, chunk))
-            for top, chunk in subproblems:
-                solve(top, chunk)
-            return
+                if parent[tops[0]]:
+                    kids[parent[tops[0]]].remove(tops[0])
+                    parent[tops[0]] = 0
+                chunk = values[a:b]
+                if any(out[pos] and out[pos] not in chunk for pos in block):
+                    raise ReconstructionError("minimum fell outside its value block")
+                work.append((tops[0], block, chunk))
+            break
 
-    solve(root, list(range(n, 0, -1)))
-
-    out = [0] * n
-    for node, value in assigned.items():
-        out[node.pos - 1] = value
-    return Permutation(tuple(out))
+    return Permutation(tuple(out[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +432,6 @@ def forest_forward(p: Permutation) -> list[LabeledPlaneTree]:
     >>> [str(t) for t in forest_forward(Permutation.from_text("312"))]
     ['0', '0(0)']
     """
-    if contains(p, _PATTERN_1342):
-        raise DomainError("permutation contains 1342")
     return [F_forward(block) for block in decompose(p)]
 
 

@@ -11,7 +11,8 @@ Subcommands::
     normalize  32514                                         # class representative
 
 Exit codes: 0 success, 1 verification discrepancy, 2 bad input or unsupported
-combination, 3 refused resource ceiling.  Output is deterministic: the same
+combination, 3 refused resource ceiling, 4 internal error (a failed
+self-check; a bug, never bad input).  Output is deterministic: the same
 invocation always produces the same bytes, whatever the worker count.
 """
 from __future__ import annotations
@@ -25,8 +26,10 @@ from concurrent.futures import ProcessPoolExecutor
 from . import bijections, counting, perms, series, trees
 from .errors import (
     DomainError,
+    IntegralityError,
     InvalidPermutationError,
     InvalidTreeError,
+    ReconstructionError,
     ResourceLimitError,
     TreeParseError,
 )
@@ -35,6 +38,7 @@ EXIT_OK = 0
 EXIT_DISCREPANCY = 1
 EXIT_USER_ERROR = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 _CLOSED_FORMS = {
     "1342": counting.s1342_closed,
@@ -325,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, InvalidPermutationError, InvalidTreeError, TreeParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER_ERROR
+    except (ReconstructionError, IntegralityError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:  # console-script hook

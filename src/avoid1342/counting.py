@@ -237,19 +237,19 @@ def cross_check(
     report = CrossCheckReport()
 
     s_report = SequenceReport("s1342")
+    closed = {n: s1342_closed(n) for n in range(1, up_to_closed + 1)}
     convolution = s1342_convolution(up_to_closed)
     h_div = H_series_division(up_to_closed) if up_to_closed >= 1 else None
     h_rat = H_series_rational(up_to_closed) if up_to_closed >= 1 else None
     for n in range(1, up_to_closed + 1):
-        closed = s1342_closed(n)
-        if inject_error and n == min(3, up_to_closed):
-            closed += 1
-        s_report.add(n, closed, "closed")
+        reported = closed[n] + 1 if inject_error and n == min(3, up_to_closed) else closed[n]
+        s_report.add(n, reported, "closed")
         s_report.add(n, int(h_div.coefficient(n)), "series-division")
         s_report.add(n, int(h_rat.coefficient(n)), "series-rational")
         s_report.add(n, convolution[n], "convolution")
-    for n in range(1, up_to_brute + 1):
-        s_report.add(n, count_avoiders(n, _P1342, ceiling=brute_ceiling), "brute")
+    brute = {n: count_avoiders(n, _P1342, ceiling=brute_ceiling) for n in range(1, up_to_brute + 1)}
+    for n, value in brute.items():
+        s_report.add(n, value, "brute")
     report.reports.append(s_report)
 
     t_report = SequenceReport("t")
@@ -279,16 +279,14 @@ def cross_check(
         c_report.add(n, count_avoiders(n, _P132, ceiling=brute_ceiling), "brute-132")
     report.reports.append(c_report)
 
-    for n in range(1, up_to_closed + 1):
-        if not s1342_closed(n) < 8 ** n:
+    for n, value in closed.items():
+        if not value < 8 ** n:
             report.bound_violations.append(f"s1342({n}) >= 8^{n}")
     for n in range(6, up_to_closed + 1):
-        if not s1342_closed(n) < s1234_closed(n):
+        if not closed[n] < s1234_closed(n):
             report.bound_violations.append(f"s1342({n}) >= s1234({n}) [closed]")
     for n in range(6, up_to_brute + 1):
-        brute_1342 = count_avoiders(n, _P1342, ceiling=brute_ceiling)
-        brute_1234 = count_avoiders(n, _P1234, ceiling=brute_ceiling)
-        if not brute_1342 < brute_1234:
+        if not brute[n] < count_avoiders(n, _P1234, ceiling=brute_ceiling):
             report.bound_violations.append(f"s1342({n}) >= s1234({n}) [brute]")
 
     return report

@@ -16,7 +16,9 @@ The node reading order used throughout is children first, left to right, then
 the node itself (commonly called post-order; some sources name this reading
 "preorder" when spelling out the same children-before-node procedure).  Under
 it every subtree occupies a contiguous span of positions ending at its top
-node, and the root sits at position n.
+node, and the root sits at position n.  Every walk over a tree is a loop over
+this reading order (``postorder_positions``), never a recursion, so only
+memory limits how deep a tree may be.
 
 Trees are immutable; generation streams are restartable, and the shape level
 is exposed separately (``iter_shapes`` + ``iter_valid_labelings``) so callers
@@ -25,17 +27,23 @@ can consume shapes in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, TypeVar
 
 from .errors import InvalidTreeError, ResourceLimitError, TreeParseError
 
 #: Largest n accepted by the exhaustive tree generator unless the caller raises it.
 DEFAULT_CEILING = 12
 
+_T = TypeVar("_T")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, repr=False)
 class LabeledPlaneTree:
-    """A rooted plane tree with a nonnegative integer label on every node."""
+    """A rooted plane tree with a nonnegative integer label on every node.
+
+    Two trees are equal when their reading orders carry the same labels and
+    child counts; this sequence determines the tree.
+    """
 
     label: int
     children: tuple["LabeledPlaneTree", ...] = ()
@@ -44,13 +52,54 @@ class LabeledPlaneTree:
         if self.label < 0:
             raise InvalidTreeError(f"negative label {self.label}")
 
+    def _signature(self) -> list[tuple[int, int]]:
+        return [(node.label, len(node.children)) for node in postorder_positions(self)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LabeledPlaneTree):
+            return NotImplemented
+        return self._signature() == other._signature()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._signature()))
+
+    def __repr__(self) -> str:
+        return f"parse({serialize(self)!r})"
+
     def __str__(self) -> str:
         return serialize(self)
 
 
+def postorder_positions(tree: LabeledPlaneTree) -> list[LabeledPlaneTree]:
+    """Nodes in children-first reading order; the node at index i has position i+1.
+
+    The subtree of the node at position i occupies exactly positions
+    [i - size + 1, i]; the root has position n.
+    """
+    out = []
+    stack = [tree]
+    while stack:  # right-to-left pre-order, reversed below
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.children)
+    out.reverse()
+    return out
+
+
+def _fold(tree: LabeledPlaneTree, combine: Callable[[LabeledPlaneTree, list[_T]], _T]) -> _T:
+    """Bottom-up fold: ``combine(node, results of its children)`` in reading order."""
+    done: list[_T] = []
+    for node in postorder_positions(tree):
+        first = len(done) - len(node.children)
+        kids = done[first:]
+        del done[first:]
+        done.append(combine(node, kids))
+    return done[0]
+
+
 def subtree_size(tree: LabeledPlaneTree) -> int:
     """Number of nodes in the tree."""
-    return 1 + sum(subtree_size(c) for c in tree.children)
+    return len(postorder_positions(tree))
 
 
 def validate_beta01(tree: LabeledPlaneTree) -> bool:
@@ -59,26 +108,23 @@ def validate_beta01(tree: LabeledPlaneTree) -> bool:
     A single node is treated as a root with empty child sum, forcing label 0;
     the leaf rule would force the same.
     """
-
-    def rec(node: LabeledPlaneTree, is_root: bool) -> bool:
-        child_sum = sum(c.label for c in node.children)
-        if not node.children:
-            ok = node.label == 0
-        elif is_root:
-            ok = node.label == child_sum
-        else:
-            ok = node.label <= 1 + child_sum
-        return ok and all(rec(c, False) for c in node.children)
-
-    return rec(tree, True)
+    nodes = postorder_positions(tree)
+    root = nodes.pop()
+    if root.label != sum(c.label for c in root.children):
+        return False
+    return all(
+        node.label <= 1 + sum(c.label for c in node.children) if node.children else node.label == 0
+        for node in nodes
+    )
 
 
 def serialize(tree: LabeledPlaneTree) -> str:
     """Canonical text form; ``parse`` inverts it exactly."""
-    if not tree.children:
-        return str(tree.label)
-    inner = " ".join(serialize(c) for c in tree.children)
-    return f"{tree.label}({inner})"
+
+    def text(node: LabeledPlaneTree, kids: list[str]) -> str:
+        return f"{node.label}({' '.join(kids)})" if kids else str(node.label)
+
+    return _fold(tree, text)
 
 
 def parse(text: str) -> LabeledPlaneTree:
@@ -105,47 +151,34 @@ def parse(text: str) -> LabeledPlaneTree:
             fail("leading zero in label")
         return int(digits)
 
-    def read_tree() -> LabeledPlaneTree:
-        nonlocal pos
+    open_nodes: list[tuple[int, list[LabeledPlaneTree]]] = []  # label, children read so far
+    while True:
         label = read_label()
         if pos < len(text) and text[pos] == "(":
             pos += 1
-            children = [read_tree()]
-            while pos < len(text) and text[pos] == " ":
+            open_nodes.append((label, []))
+            continue
+        node = LabeledPlaneTree(label)
+        while open_nodes:  # attach the finished node; close parents until a sibling follows
+            open_nodes[-1][1].append(node)
+            if pos < len(text) and text[pos] == " ":
                 pos += 1
-                children.append(read_tree())
+                break
             if pos >= len(text) or text[pos] != ")":
                 fail("expected ')' or ' '")
             pos += 1
-            return LabeledPlaneTree(label, tuple(children))
-        return LabeledPlaneTree(label)
-
-    tree = read_tree()
+            label, children = open_nodes.pop()
+            node = LabeledPlaneTree(label, tuple(children))
+        else:
+            break
     if pos != len(text):
         fail("trailing input")
-    return tree
-
-
-def postorder_positions(tree: LabeledPlaneTree) -> list[LabeledPlaneTree]:
-    """Nodes in children-first reading order; the node at index i has position i+1.
-
-    The subtree of the node at position i occupies exactly positions
-    [i - size + 1, i]; the root has position n.
-    """
-    out: list[LabeledPlaneTree] = []
-
-    def rec(node: LabeledPlaneTree):
-        for c in node.children:
-            rec(c)
-        out.append(node)
-
-    rec(tree)
-    return out
+    return node
 
 
 def normalize_tree(tree: LabeledPlaneTree) -> LabeledPlaneTree:
     """Same shape, every label zero."""
-    return LabeledPlaneTree(0, tuple(normalize_tree(c) for c in tree.children))
+    return _fold(tree, lambda node, kids: LabeledPlaneTree(0, tuple(kids)))
 
 
 @dataclass(frozen=True)
@@ -156,17 +189,11 @@ class ShapeFlags:
 
 def classify_shape(tree: LabeledPlaneTree) -> ShapeFlags:
     """Structural flags: every node has at most one child / every label is zero."""
-    single_path = True
-    all_zero = True
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if len(node.children) > 1:
-            single_path = False
-        if node.label != 0:
-            all_zero = False
-        stack.extend(node.children)
-    return ShapeFlags(single_path=single_path, all_zero_labels=all_zero)
+    nodes = postorder_positions(tree)
+    return ShapeFlags(
+        single_path=all(len(node.children) <= 1 for node in nodes),
+        all_zero_labels=all(node.label == 0 for node in nodes),
+    )
 
 
 def path_shape(n: int) -> LabeledPlaneTree:

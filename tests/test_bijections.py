@@ -1,3 +1,6 @@
+import sys
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 
@@ -30,7 +33,7 @@ from avoid1342 import (
 )
 
 from conftest import perm_strategy
-from oracles import oracle_reaches_matrix
+from oracles import oracle_contains, oracle_reaches_matrix
 
 P = Permutation.from_text
 P1342 = P("1342")
@@ -245,6 +248,20 @@ def test_F_forward_34152_intermediate_split_case():
     assert F_inverse(tree) == p
 
 
+def test_F_inverse_deep_zero_path_is_identity():
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    assert F_inverse(path_shape(n)) == Permutation(tuple(range(1, n + 1)))
+
+
+def test_F_forward_deep_path_agrees_with_f_and_roundtrips():
+    n = 1100
+    p = Permutation((1,) + tuple(range(n, 1, -1)))
+    tree = F_forward(p)
+    assert tree == f_forward(p)
+    assert F_inverse(tree) == p
+
+
 # ---------------------------------------------------------------- forests
 
 def test_forest_examples():
@@ -256,6 +273,20 @@ def test_forest_examples():
 def test_forest_rejects_pattern():
     with pytest.raises(DomainError):
         forest_forward(P("1342"))
+
+
+def test_forest_rejects_exactly_the_1342_containers():
+    # every occurrence of 1342 lies inside one block, so the per-block guard
+    # of F_forward rejects exactly the permutations that contain it
+    with pytest.raises(DomainError, match="contains 1342"):
+        forest_forward(P("51342"))
+    for n in range(1, 8):
+        for vals in permutations(range(1, n + 1)):
+            if oracle_contains(vals, P1342.values):
+                with pytest.raises(DomainError, match="contains 1342"):
+                    forest_forward(Permutation(vals))
+            else:
+                assert len(forest_forward(Permutation(vals))) == len(decompose(Permutation(vals)))
 
 
 def test_forest_roundtrip_all_avoiders():

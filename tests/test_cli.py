@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from avoid1342 import IntegralityError, ReconstructionError, bijections
 from avoid1342.cli import main
 
 S1342_VALUES = [1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662]
@@ -139,6 +141,24 @@ def test_map_error_reasons_are_specific(capsys):
     assert code == 2 and "decomposable" in err
     code, _, err = run(capsys, "map", "tree-to-perm", "1(1(0)")
     assert code == 2 and "position" in err
+
+
+def test_map_deep_zero_path_tree(capsys):
+    n = 1100
+    assert n > sys.getrecursionlimit()
+    text = "0(" * (n - 1) + "0" + ")" * (n - 1)
+    code, out, err = run(capsys, "map", "tree-to-perm", text)
+    assert (code, out, err) == (0, ",".join(str(v) for v in range(1, n + 1)) + "\n", "")
+
+
+@pytest.mark.parametrize("error", [ReconstructionError, IntegralityError])
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, error):
+    def broken(tree):
+        raise error("self-check failed")
+
+    monkeypatch.setattr(bijections, "F_inverse", broken)
+    code, out, err = run(capsys, "map", "tree-to-perm", "0")
+    assert (code, out, err) == (4, "", "internal error: self-check failed\n")
 
 
 # ---------------------------------------------------------------- generate

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from avoid1342 import (
@@ -175,3 +177,31 @@ def test_parse_rejects_whitespace_variants():
         parse("0( 0)")
     with pytest.raises(TreeParseError):
         parse("0 (0)")
+
+
+def test_repr_is_the_parse_call():
+    assert repr(parse("1(1(0))")) == "parse('1(1(0))')"
+    assert eval(repr(parse("3(3(1(0) 1(0)))")), {"parse": parse}) == parse("3(3(1(0) 1(0)))")
+
+
+def test_equal_trees_hash_alike_and_distinct_trees_differ():
+    # every shape's all-zero labeling is also generated, as a separate object
+    trees = list(generate_all_beta01(6)) + list(iter_shapes(6))
+    assert len(set(trees)) == TREE_COUNTS[5]
+    assert parse("0(0 0)") != parse("0(0(0))")
+    assert parse("0") != "0"
+
+
+def test_deep_path_needs_no_recursion():
+    n = 10_000
+    assert n > sys.getrecursionlimit()
+    tree = path_shape(n)
+    back = parse(serialize(tree))
+    assert back == tree and hash(back) == hash(tree) and repr(back) == repr(tree)
+    assert back != path_shape(n - 1)
+    assert validate_beta01(back)
+    assert subtree_size(back) == n
+    assert normalize_tree(back) == tree
+    assert classify_shape(back).single_path
+    comb = "0(0 " * n + "0" + ")" * n  # a leaf beside every node of a deep path
+    assert serialize(parse(comb)) == comb
