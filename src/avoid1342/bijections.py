@@ -23,10 +23,9 @@ from __future__ import annotations
 from .errors import DomainError, ReconstructionError
 from .perms import (
     Permutation,
-    _is_indecomposable,
     compose_blocks,
-    contains,
     decompose,
+    is_indecomposable,
     left_to_right_minima,
     normalize,
 )
@@ -37,9 +36,6 @@ from .trees import (
     postorder_positions,
     validate_beta01,
 )
-
-_PATTERN_1342 = Permutation((1, 3, 4, 2))
-
 
 # ---------------------------------------------------------------------------
 # beats / reaches
@@ -61,11 +57,28 @@ def _beats_successors(vals: tuple[int, ...]) -> list[list[int]]:
     return succ
 
 
-def _max_reach(vals: tuple[int, ...]) -> list[int]:
+def _contains_1342(vals: tuple[int, ...], succ: list[list[int]]) -> bool:
+    """True iff vals contains 1342, given ``succ = _beats_successors(vals)``.
+
+    In an occurrence the 3 beats the 2 (the 1 lies before the 3) and the 4
+    lies between them, so the first entry after the 3 that exceeds it lies
+    before the 2 too.  Hence vals contains 1342 iff some entry's next larger
+    entry comes before the last entry it beats.
+    """
+    n = len(vals)
+    next_larger = [n] * n
+    stack: list[int] = []
+    for j, v in enumerate(vals):
+        while stack and vals[stack[-1]] < v:
+            next_larger[stack.pop()] = j
+        stack.append(j)
+    return any(beaten and next_larger[i] < beaten[-1] for i, beaten in enumerate(succ))
+
+
+def _max_reach(succ: list[list[int]]) -> list[int]:
     """For each 0-based position, the largest position it reaches (-1 if none)."""
-    succ = _beats_successors(vals)
-    out = [-1] * len(vals)
-    for i in range(len(vals) - 1, -1, -1):
+    out = [-1] * len(succ)
+    for i in range(len(succ) - 1, -1, -1):
         for j in succ[i]:
             out[i] = max(out[i], j, out[j])
     return out
@@ -132,9 +145,9 @@ def f_forward(p: Permutation) -> LabeledPlaneTree:
         raise DomainError("the map needs a nonempty permutation")
     if p.values[0] != 1:
         raise DomainError("the single-path map requires first entry 1")
-    if contains(p, _PATTERN_1342):
-        raise DomainError("permutation contains 1342")
     vals = p.values
+    if _contains_1342(vals, _beats_successors(vals)):
+        raise DomainError("permutation contains 1342")
     labels = []
     for i in range(1, n):
         suffix_min = min(vals[i:])
@@ -275,12 +288,13 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     n = len(p)
     if n < 1:
         raise DomainError("the bijection needs a nonempty permutation")
-    if contains(p, _PATTERN_1342):
+    succ = _beats_successors(p.values)
+    if _contains_1342(p.values, succ):
         raise DomainError("permutation contains 1342")
-    if not _is_indecomposable(p.values):
+    if not is_indecomposable(p):
         raise DomainError("permutation is decomposable")
 
-    max_reach = _max_reach(p.values)
+    max_reach = _max_reach(succ)
     pos = 0
 
     def relabel(node: LabeledPlaneTree, kids: list[tuple[int, LabeledPlaneTree]]):

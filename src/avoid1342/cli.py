@@ -77,7 +77,7 @@ def _one_value(pattern_text: str, n: int, method: str, args) -> int:
         fn = _CLOSED_FORMS.get(pattern_text)
         if fn is None:
             raise DomainError(f"no closed form for pattern {pattern_text}")
-        return fn(n)
+        return fn(n) if n else 1  # the empty permutation, as for every other method
     if method == "series":
         if pattern_text != "1342":
             raise DomainError(f"no series for pattern {pattern_text}")

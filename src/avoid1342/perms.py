@@ -6,16 +6,18 @@ type doubles as a pattern: ``p`` contains ``q`` when some subsequence of ``p``
 is order-isomorphic to ``q``, and avoids it otherwise.
 
 All functions here are pure and all values immutable, so everything may be
-shared freely across threads.  ``iter_avoiders``/``count_avoiders`` accept a
-``first_entry`` argument so callers can partition the search space into
-disjoint sub-ranges and fan them out to workers.
+shared freely across threads.  ``iter_avoiders``/``count_avoiders`` share one
+prefix walk; the pattern, the selection and ``first_entry`` all prune
+prefixes, so no finished permutation is filtered.  ``first_entry`` also lets
+callers partition the search space into disjoint sub-ranges and fan them out
+to workers.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence, get_args
 
 from .errors import DomainError, InvalidPermutationError, ResourceLimitError
 
@@ -186,19 +188,6 @@ def same_class(p: Permutation, q: Permutation) -> bool:
     return left_to_right_minima(p) == left_to_right_minima(q)
 
 
-def _is_indecomposable(vals: Sequence[int]) -> bool:
-    n = len(vals)
-    if n == 0:
-        return False
-    running_min = vals[0]
-    # cut after position c is legal iff the prefix holds exactly the top c values
-    for c in range(1, n):
-        if running_min == n - c + 1:
-            return False
-        running_min = min(running_min, vals[c])
-    return True
-
-
 def is_indecomposable(p: Permutation) -> bool:
     """True iff no cut splits p with everything before larger than everything after.
 
@@ -210,24 +199,23 @@ def is_indecomposable(p: Permutation) -> bool:
     >>> is_indecomposable(Permutation.from_text("35124"))
     True
     """
-    return _is_indecomposable(p.values)
+    return len(_block_spans(p.values)) == 1
 
 
 def _block_spans(vals: Sequence[int]) -> list[tuple[int, int]]:
     """Half-open index spans of the maximal skew decomposition of ``vals``.
 
-    A cut after c is valid iff the prefix minimum equals the c-th largest
-    value, i.e. the prefix holds exactly the top c values.
+    ``vals`` is a permutation of 1..n, so a cut after c is valid iff the
+    prefix minimum is n - c + 1, i.e. the prefix holds exactly the top c
+    values.
     """
     n = len(vals)
-    desc = sorted(vals, reverse=True)
     spans = []
     start = 0
-    running_min: int | None = None
-    for c in range(1, n + 1):
-        v = vals[c - 1]
-        running_min = v if running_min is None or v < running_min else running_min
-        if running_min == desc[c - 1]:
+    low = n + 1
+    for c, v in enumerate(vals, start=1):
+        low = min(low, v)
+        if low == n - c + 1:
             spans.append((start, c))
             start = c
     return spans
@@ -244,12 +232,9 @@ def decompose(p: Permutation) -> list[Permutation]:
     >>> [str(b) for b in decompose(Permutation.from_text("321"))]
     ['1', '1', '1']
     """
-    vals = p.values
-    blocks = []
-    for a, b in _block_spans(vals):
-        lo = min(vals[a:b])
-        blocks.append(Permutation(tuple(v - lo + 1 for v in vals[a:b])))
-    return blocks
+    vals, n = p.values, len(p)
+    # the block ending at index b holds the values n-b+1..n-b+(b-a)
+    return [Permutation(tuple(v - n + b for v in vals[a:b])) for a, b in _block_spans(vals)]
 
 
 def compose_blocks(blocks: Sequence[Permutation]) -> Permutation:
@@ -288,7 +273,14 @@ def normalize(p: Permutation) -> Permutation:
     return Permutation(tuple(out))
 
 
-def _check_enumeration_args(n: int, pattern: Permutation, ceiling: int) -> None:
+def _prunes(
+    n: int, pattern: Permutation, selection: Selection, first_entry: int | None, ceiling: int
+) -> tuple[range | None, bool]:
+    """Check the enumerator's arguments and turn the selection into prefix prunes.
+
+    Returns the allowed first entries (``None``: any) and whether prefixes
+    that split off a top block are dropped.
+    """
     if len(pattern) == 0:
         raise DomainError("pattern must be nonempty")
     if n < 0:
@@ -298,16 +290,14 @@ def _check_enumeration_args(n: int, pattern: Permutation, ceiling: int) -> None:
             f"exhaustive enumeration refused for n={n} (ceiling {ceiling}); "
             "raise the ceiling explicitly to proceed"
         )
-
-
-def _passes(vals: tuple[int, ...], selection: Selection) -> bool:
-    if selection == "all":
-        return True
-    if selection == "indecomposable":
-        return _is_indecomposable(vals)
+    if selection not in get_args(Selection):
+        raise DomainError(f"unknown selection {selection!r}")
+    if first_entry is not None and not 1 <= first_entry <= n:
+        raise DomainError(f"first_entry must lie in 1..{n}, got {first_entry}")
+    first = None if first_entry is None else range(first_entry, first_entry + 1)
     if selection == "first_entry_is_1":
-        return bool(vals) and vals[0] == 1
-    raise DomainError(f"unknown selection {selection!r}")
+        first = range(1, 2) if first is None else range(first.start, min(first.stop, 2))
+    return first, selection == "indecomposable"
 
 
 def _occurrence_ends_at_last(vals: list[int], q: Sequence[int]) -> bool:
@@ -335,6 +325,52 @@ def _occurrence_ends_at_last(vals: list[int], q: Sequence[int]) -> bool:
     return dfs(0, 0)
 
 
+def _walk(
+    n: int, q: Sequence[int], first: range | None, indecomposable: bool
+) -> Iterator[tuple[int, ...]]:
+    """Values of every n-permutation avoiding q, in lexicographic order.
+
+    One depth-first loop over prefixes, smallest next value first.  A prefix
+    is dropped as soon as its last entry ends an occurrence of q, its first
+    entry lies outside ``first``, or (``indecomposable``) a proper prefix of
+    length c holds exactly the top c values, i.e. its minimum is n - c + 1:
+    every extension keeps that cut.
+    """
+    if n == 0:  # the empty permutation has no first entry and no blocks
+        if first is None and not indecomposable:
+            yield ()
+        return
+    if first is None:
+        first = range(1, n + 1)
+    k = len(q)
+    vals: list[int] = []
+    used = [False] * (n + 1)
+    v, stop = first.start, first.stop  # next candidate and bound at this depth
+    while True:
+        while v < stop and used[v]:
+            v += 1
+        if v >= stop:  # every candidate tried: back up one entry
+            if not vals:
+                return
+            used[vals[-1]] = False
+            v = vals.pop() + 1
+            stop = n + 1 if vals else first.stop
+            continue
+        vals.append(v)
+        c = len(vals)
+        if (c < k or not _occurrence_ends_at_last(vals, q)) and not (
+            indecomposable and c < n and min(vals) == n - c + 1
+        ):
+            if c == n:
+                yield tuple(vals)
+            else:
+                used[v] = True
+                v, stop = 1, n + 1
+                continue
+        vals.pop()
+        v += 1
+
+
 def iter_avoiders(
     n: int,
     pattern: Permutation,
@@ -345,41 +381,15 @@ def iter_avoiders(
 ) -> Iterator[Permutation]:
     """Stream all n-permutations avoiding ``pattern`` that pass ``selection``.
 
-    Yields each avoider exactly once, in lexicographic order.  Prefixes that
-    already contain the pattern are pruned, so only the avoiding part of the
-    search tree is ever visited.  ``first_entry`` restricts the stream to
+    Yields each avoider exactly once, in lexicographic order.  The pattern and
+    the selection both prune prefixes, so only prefixes of selected avoiders
+    are ever extended.  ``first_entry`` (in 1..n) restricts the stream to
     permutations starting with that value (disjoint sub-ranges for parallel
     callers).
     """
-    _check_enumeration_args(n, pattern, ceiling)
-    if n == 0:
-        if selection == "all" and first_entry is None:
-            yield Permutation(())
-        return
-    q = pattern.values
-    k = len(q)
-    vals: list[int] = []
-    used = [False] * (n + 1)
-    first_choices = range(1, n + 1) if first_entry is None else (first_entry,)
-
-    def rec(depth: int) -> Iterator[Permutation]:
-        if depth == n:
-            out = tuple(vals)
-            if _passes(out, selection):
-                yield Permutation(out)
-            return
-        choices = first_choices if depth == 0 else range(1, n + 1)
-        for v in choices:
-            if used[v]:
-                continue
-            used[v] = True
-            vals.append(v)
-            if depth + 1 < k or not _occurrence_ends_at_last(vals, q):
-                yield from rec(depth + 1)
-            vals.pop()
-            used[v] = False
-
-    yield from rec(0)
+    first, indecomposable = _prunes(n, pattern, selection, first_entry, ceiling)
+    for vals in _walk(n, pattern.values, first, indecomposable):
+        yield Permutation(vals)
 
 
 def count_avoiders(
@@ -391,30 +401,5 @@ def count_avoiders(
     ceiling: int = DEFAULT_CEILING,
 ) -> int:
     """Exact number of n-permutations avoiding ``pattern`` that pass ``selection``."""
-    _check_enumeration_args(n, pattern, ceiling)
-    if n == 0:
-        return 1 if selection == "all" and first_entry is None else 0
-    q = pattern.values
-    k = len(q)
-    vals: list[int] = []
-    used = [False] * (n + 1)
-    first_choices = range(1, n + 1) if first_entry is None else (first_entry,)
-    plain = selection == "all"
-
-    def rec(depth: int) -> int:
-        if depth == n:
-            return 1 if plain or _passes(tuple(vals), selection) else 0
-        total = 0
-        choices = first_choices if depth == 0 else range(1, n + 1)
-        for v in choices:
-            if used[v]:
-                continue
-            used[v] = True
-            vals.append(v)
-            if depth + 1 < k or not _occurrence_ends_at_last(vals, q):
-                total += rec(depth + 1)
-            vals.pop()
-            used[v] = False
-        return total
-
-    return rec(0)
+    first, indecomposable = _prunes(n, pattern, selection, first_entry, ceiling)
+    return sum(1 for _ in _walk(n, pattern.values, first, indecomposable))

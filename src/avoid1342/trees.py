@@ -141,7 +141,7 @@ def parse(text: str) -> LabeledPlaneTree:
     def read_label() -> int:
         nonlocal pos
         start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":  # ASCII only
             pos += 1
         if pos == start:
             fail("expected a label")

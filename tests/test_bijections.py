@@ -32,6 +32,7 @@ from avoid1342 import (
     validate_beta01,
 )
 
+from avoid1342.bijections import _beats_successors, _contains_1342
 from conftest import perm_strategy
 from oracles import oracle_contains, oracle_reaches_matrix
 
@@ -287,6 +288,24 @@ def test_forest_rejects_exactly_the_1342_containers():
                     forest_forward(Permutation(vals))
             else:
                 assert len(forest_forward(Permutation(vals))) == len(decompose(Permutation(vals)))
+
+
+def test_contains_1342_matches_subset_scan():
+    for n in range(0, 8):
+        for vals in permutations(range(1, n + 1)):
+            expected = oracle_contains(vals, P1342.values)
+            assert _contains_1342(vals, _beats_successors(vals)) == expected, vals
+
+
+def test_f_forward_rejects_exactly_the_1342_containers():
+    for n in range(1, 8):
+        for rest in permutations(range(2, n + 1)):
+            p = Permutation((1, *rest))
+            if oracle_contains(p.values, P1342.values):
+                with pytest.raises(DomainError, match="contains 1342"):
+                    f_forward(p)
+            else:
+                assert f_inverse(f_forward(p)) == p
 
 
 def test_forest_roundtrip_all_avoiders():

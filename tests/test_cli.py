@@ -59,6 +59,17 @@ def test_count_bad_pattern_text(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "pattern,method",
+    [("1342", "closed"), ("1342", "series"), ("1342", "convolution"), ("1342", "brute"),
+     ("1234", "closed"), ("1234", "brute")],
+)
+def test_count_n_zero_is_the_empty_permutation(capsys, pattern, method):
+    code, out, err = run(capsys, "count", "--pattern", pattern, "--n", "0", "--method", method,
+                         "--workers", "1")
+    assert (code, out, err) == (0, "1\n", "")
+
+
 # ---------------------------------------------------------------- sequence
 
 def test_sequence_closed_matches_known_values(capsys):
@@ -141,6 +152,12 @@ def test_map_error_reasons_are_specific(capsys):
     assert code == 2 and "decomposable" in err
     code, _, err = run(capsys, "map", "tree-to-perm", "1(1(0)")
     assert code == 2 and "position" in err
+
+
+def test_map_rejects_non_ascii_digit(capsys):
+    code, out, err = run(capsys, "map", "tree-to-perm", "\u00b2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_map_deep_zero_path_tree(capsys):

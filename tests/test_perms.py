@@ -25,6 +25,7 @@ from avoid1342.errors import DomainError
 
 from conftest import perm_strategy
 from oracles import (
+    oracle_avoiders,
     oracle_contains,
     oracle_count_occurrences,
     oracle_is_indecomposable,
@@ -263,6 +264,55 @@ def test_enumerate_n_zero():
     assert count_avoiders(0, P1342) == 1
     assert count_avoiders(0, P1342, "indecomposable") == 0
     assert [p.values for p in iter_avoiders(0, P1342)] == [()]
+
+
+def test_enumerate_rejects_bad_first_entry():
+    # out-of-range first entries used to give wrong counts or fail late
+    for first in (0, -1, 6, 7):
+        with pytest.raises(DomainError):
+            count_avoiders(5, P1342, first_entry=first)
+        with pytest.raises(DomainError):
+            list(iter_avoiders(5, P1342, first_entry=first))
+    with pytest.raises(DomainError):
+        list(iter_avoiders(3, P132, first_entry=0))
+    with pytest.raises(DomainError):
+        count_avoiders(0, P1342, first_entry=1)
+
+
+def test_enumerate_rejects_unknown_selection():
+    for n in (0, 1, 4):
+        with pytest.raises(DomainError):
+            count_avoiders(n, P1342, "odd")
+        with pytest.raises(DomainError):
+            list(iter_avoiders(n, P1342, "odd"))
+
+
+def test_first_entry_is_1_excludes_other_first_entries():
+    assert count_avoiders(5, P1342, "first_entry_is_1", first_entry=2) == 0
+    assert list(iter_avoiders(5, P1342, "first_entry_is_1", first_entry=2)) == []
+
+
+_ORACLE_SELECTIONS = {
+    "all": lambda vals: True,
+    "indecomposable": oracle_is_indecomposable,
+    "first_entry_is_1": lambda vals: vals[:1] == (1,),
+}
+
+
+@pytest.mark.parametrize("pattern", ["1342", "2413", "1234", "12345", "132", "21"])
+def test_enumerate_every_selection_against_full_scan(pattern):
+    q = P(pattern)
+    for n in range(0, 7):
+        avoiders = oracle_avoiders(n, q.values)
+        for selection, keep in _ORACLE_SELECTIONS.items():
+            for first in [None, *range(1, n + 1)]:
+                expected = sorted(
+                    vals for vals in avoiders
+                    if keep(vals) and (first is None or vals[0] == first)
+                )
+                got = [p.values for p in iter_avoiders(n, q, selection, first_entry=first)]
+                assert got == expected, (n, selection, first)
+                assert count_avoiders(n, q, selection, first_entry=first) == len(expected)
 
 
 def test_pattern_of():

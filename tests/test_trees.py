@@ -80,6 +80,20 @@ def test_parse_error_positions(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("\u0663(\u0663(0))", 0),  # Arabic-Indic three
+        ("\u00b2", 0),              # superscript two
+        ("0(\uff11)", 2),           # full-width one
+    ],
+)
+def test_parse_accepts_only_ascii_digits(text, position):
+    with pytest.raises(TreeParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
 def test_postorder_contract():
     nodes = postorder_positions(parse("0(0 0)"))
     assert [node.label for node in nodes] == [0, 0, 0]
