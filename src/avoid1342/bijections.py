@@ -20,6 +20,8 @@ ranges can be partitioned freely across workers.
 """
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import DomainError, ReconstructionError
 from .perms import (
     Permutation,
@@ -45,7 +47,7 @@ def _beats_successors(vals: tuple[int, ...]) -> list[list[int]]:
     """0-based adjacency: j in succ[i] iff entry i beats entry j.
 
     Entry i beats entry j (i < j) iff some h < i has p_h < p_j < p_i, which is
-    equivalent to min(p_1..p_{i-1}) < p_j < p_i.
+    equivalent to min(p_1..p_{i-1}) < p_j < p_i.  Used by ``reaches`` only.
     """
     n = len(vals)
     succ: list[list[int]] = [[] for _ in range(n)]
@@ -57,8 +59,33 @@ def _beats_successors(vals: tuple[int, ...]) -> list[list[int]]:
     return succ
 
 
-def _contains_1342(vals: tuple[int, ...], succ: list[list[int]]) -> bool:
-    """True iff vals contains 1342, given ``succ = _beats_successors(vals)``.
+def _beat_extents(vals: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """For each 0-based position: the last position it beats and the last it reaches.
+
+    Both are -1 where there is none.  Entry i beats exactly the later entries
+    with values strictly between min(p_1..p_{i-1}) and p_i, so one
+    right-to-left pass over value-indexed arrays answers both: ``last_at[x]``
+    is the position of the value x once passed, and ``reach_at[x]`` the
+    furthest position that entry beats or reaches, itself included.
+    """
+    n = len(vals)
+    prefix_min = [n + 1, *accumulate(vals[:-1], min)]
+    last_at = [-1] * (n + 2)
+    reach_at = [-1] * (n + 2)
+    last_beaten = [-1] * n
+    max_reach = [-1] * n
+    for i in range(n - 1, -1, -1):
+        lo, v = prefix_min[i] + 1, vals[i]
+        if lo < v:
+            last_beaten[i] = max(last_at[lo:v])
+            max_reach[i] = max(reach_at[lo:v])
+        last_at[v] = i
+        reach_at[v] = max(i, max_reach[i])
+    return last_beaten, max_reach
+
+
+def _contains_1342(vals: tuple[int, ...], last_beaten: list[int]) -> bool:
+    """True iff vals contains 1342, given the first list of ``_beat_extents(vals)``.
 
     In an occurrence the 3 beats the 2 (the 1 lies before the 3) and the 4
     lies between them, so the first entry after the 3 that exceeds it lies
@@ -72,16 +99,7 @@ def _contains_1342(vals: tuple[int, ...], succ: list[list[int]]) -> bool:
         while stack and vals[stack[-1]] < v:
             next_larger[stack.pop()] = j
         stack.append(j)
-    return any(beaten and next_larger[i] < beaten[-1] for i, beaten in enumerate(succ))
-
-
-def _max_reach(succ: list[list[int]]) -> list[int]:
-    """For each 0-based position, the largest position it reaches (-1 if none)."""
-    out = [-1] * len(succ)
-    for i in range(len(succ) - 1, -1, -1):
-        for j in succ[i]:
-            out[i] = max(out[i], j, out[j])
-    return out
+    return any(next_larger[i] < last for i, last in enumerate(last_beaten))
 
 
 def beats(p: Permutation, i: int, j: int) -> bool:
@@ -146,7 +164,7 @@ def f_forward(p: Permutation) -> LabeledPlaneTree:
     if p.values[0] != 1:
         raise DomainError("the single-path map requires first entry 1")
     vals = p.values
-    if _contains_1342(vals, _beats_successors(vals)):
+    if _contains_1342(vals, _beat_extents(vals)[0]):
         raise DomainError("permutation contains 1342")
     labels = []
     for i in range(1, n):
@@ -288,13 +306,12 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     n = len(p)
     if n < 1:
         raise DomainError("the bijection needs a nonempty permutation")
-    succ = _beats_successors(p.values)
-    if _contains_1342(p.values, succ):
+    last_beaten, max_reach = _beat_extents(p.values)
+    if _contains_1342(p.values, last_beaten):
         raise DomainError("permutation contains 1342")
     if not is_indecomposable(p):
         raise DomainError("permutation is decomposable")
 
-    max_reach = _max_reach(succ)
     pos = 0
 
     def relabel(node: LabeledPlaneTree, kids: list[tuple[int, LabeledPlaneTree]]):

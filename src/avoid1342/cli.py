@@ -321,6 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts outgrow the default 4 300-digit cap on int <-> str (Python 3.10.7+)
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ResourceLimitError as exc:
@@ -332,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ReconstructionError, IntegralityError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def entrypoint() -> None:  # console-script hook

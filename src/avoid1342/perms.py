@@ -11,6 +11,14 @@ prefix walk; the pattern, the selection and ``first_entry`` all prune
 prefixes, so no finished permutation is filtered.  ``first_entry`` also lets
 callers partition the search space into disjoint sub-ranges and fan them out
 to workers.
+
+The walk never searches a prefix for the pattern.  It carries the partial
+occurrences of the pattern q instead: level j holds the occurrences of
+q[:j] in the prefix, and appending a value extends those whose gap for
+q[j] holds it.  The last level is kept only as the bitmask ``forbid`` of the
+values that would complete an occurrence, so a forbidden candidate is
+skipped before it is appended, for any pattern.  ``contains`` keeps its own
+search: on one long permutation the levels would grow as C(n, k - 1).
 """
 from __future__ import annotations
 
@@ -300,41 +308,37 @@ def _prunes(
     return first, selection == "indecomposable"
 
 
-def _occurrence_ends_at_last(vals: list[int], q: Sequence[int]) -> bool:
-    """Does some occurrence of q use the last element of vals as its final entry?"""
-    k = len(q)
-    last_index = len(vals) - 1
-    last = vals[last_index]
-    q_less = [[q[a] < q[t] for a in range(t)] for t in range(k)]
-    chosen: list[int] = []
-
-    def dfs(t: int, start: int) -> bool:
-        if t == k - 1:
-            return True
-        for pos in range(start, last_index - (k - 2 - t)):
-            v = vals[pos]
-            if (v < last) != q_less[k - 1][t]:
-                continue
-            if all((chosen[a] < v) == q_less[t][a] for a in range(t)):
-                chosen.append(v)
-                if dfs(t + 1, pos + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return dfs(0, 0)
-
-
 def _walk(
     n: int, q: Sequence[int], first: range | None, indecomposable: bool
 ) -> Iterator[tuple[int, ...]]:
     """Values of every n-permutation avoiding q, in lexicographic order.
 
-    One depth-first loop over prefixes, smallest next value first.  A prefix
-    is dropped as soon as its last entry ends an occurrence of q, its first
-    entry lies outside ``first``, or (``indecomposable``) a proper prefix of
-    length c holds exactly the top c values, i.e. its minimum is n - c + 1:
-    every extension keeps that cut.
+    One depth-first loop over prefixes, smallest next value first.  A value
+    is never appended if it would end an occurrence of q, and a prefix is
+    dropped if its first entry lies outside ``first`` or (``indecomposable``)
+    a proper prefix of length c holds exactly the top c values, i.e. its
+    minimum is n - c + 1: every extension keeps that cut.
+
+    The occurrence state, for k = len(q): level j holds the occurrences of
+    q[:j] in the prefix, each as its sorted values framed by 0 and n + 1
+    (level 0 is the one empty occurrence).  An occurrence t of q[:j] takes
+    as its next entry exactly the values of its gap for q[j], the open
+    interval (t[r], t[r + 1]) where r = ranks[j] counts the entries of q[:j]
+    below q[j].  Appending v therefore adds t with v inserted to level
+    j + 1 for every t in level j whose gap holds v.  Levels only grow along
+    a path, so backing up truncates each to its length at that depth.
+
+    The top two levels are folded into bitmasks.  Level k - 1 is
+    ``forbid``, the union of its gaps for q[-1]: a candidate in ``forbid``
+    would complete q and is skipped before it is appended.  Level k - 2 is
+    ``pending``, which maps each of its gaps for q[-2] to what a value
+    there adds to ``forbid``.  That part is fixed by the occurrence, so
+    occurrences with one gap merge, and it is added once -- unless q[-1]
+    is next to q[-2] in value: then it is the part of the gap beyond the
+    value, and the gap stays pending.  Since a gap can leave ``pending``, each
+    depth keeps its own copy.  No occurrence is kept whose gap (or
+    pending part) holds no value that is neither used nor forbidden, or that
+    is made too late to forbid a position <= n.
     """
     if n == 0:  # the empty permutation has no first entry and no blocks
         if first is None and not indecomposable:
@@ -343,32 +347,79 @@ def _walk(
     if first is None:
         first = range(1, n + 1)
     k = len(q)
+    ranks = [sum(1 for a in range(j) if q[a] < q[j]) for j in range(k)]
+
+    def gap(t: tuple[int, ...], r: int) -> int:
+        """Bitmask of the values strictly between t[r] and t[r + 1]."""
+        return (1 << t[r + 1]) - (1 << (t[r] + 1))
+
+    base = (0, n + 1)
+    everything = gap(base, 0)
+    levels = [[base]] + [[] for _ in range(k - 3)] if k > 2 else []
+    pending = {everything: everything} if k == 2 else {}
+    forbid = everything if k == 1 else 0
+    # appending w to a level k - 2 occurrence t puts it at index R + 1 of
+    # t's extension, and the gap of q[-1] there starts at index H
+    R, H = (ranks[k - 2], ranks[k - 1]) if k > 1 else (0, 0)
+    below, above = H == R, H == R + 1  # the gap of q[-1] ends or starts at w
+    fixed = H if H < R else H - 1  # otherwise it is t's gap at this index
     vals: list[int] = []
-    used = [False] * (n + 1)
+    saved: list[tuple[int, int, list[int], dict[int, int]]] = []
+    used = low = 0  # bitmask of the prefix's values, its minimum once nonempty
     v, stop = first.start, first.stop  # next candidate and bound at this depth
     while True:
-        while v < stop and used[v]:
-            v += 1
-        if v >= stop:  # every candidate tried: back up one entry
+        free = ((1 << stop) - 1) >> v << v & ~(used | forbid)  # v..stop-1, if any
+        if not free:  # every candidate tried: back up one entry
             if not vals:
                 return
-            used[vals[-1]] = False
-            v = vals.pop() + 1
+            v = vals.pop()
+            used ^= 1 << v
+            forbid, low, lengths, pending = saved.pop()
+            for level, length in zip(levels, lengths):
+                del level[length:]
+            v += 1
             stop = n + 1 if vals else first.stop
             continue
-        vals.append(v)
-        c = len(vals)
-        if (c < k or not _occurrence_ends_at_last(vals, q)) and not (
-            indecomposable and c < n and min(vals) == n - c + 1
-        ):
-            if c == n:
-                yield tuple(vals)
+        v = (free & -free).bit_length() - 1
+        c = len(vals) + 1
+        if c == n:  # v is the one value left, and forbid let it through
+            vals.append(v)
+            yield tuple(vals)
+            vals.pop()
+            v += 1
+            continue
+        new_low = v if c == 1 or v < low else low
+        if indecomposable and new_low == n - c + 1:
+            v += 1
+            continue
+        saved.append((forbid, low, [len(level) for level in levels], pending))
+        pending = dict(pending)
+        bit = 1 << v
+        for g in [g for g in pending if g & bit]:
+            if below:
+                forbid |= g & (bit - 1)
+            elif above:
+                forbid |= g & -(bit << 1)
             else:
-                used[v] = True
-                v, stop = 1, n + 1
-                continue
-        vals.pop()
-        v += 1
+                forbid |= pending.pop(g)
+        used |= bit
+        avail = ~(used | forbid)
+        # an occurrence of q[:j + 1] made now forbids position c + k - j - 1 first
+        for j in range(k - 3, max(c + k - n - 1, 0) - 1, -1):
+            r = ranks[j]
+            for t in levels[j]:
+                if t[r] < v < t[r + 1]:
+                    t = t[:r + 1] + (v,) + t[r + 1:]
+                    g = gap(t, ranks[j + 1]) & avail
+                    if g and j < k - 3:
+                        levels[j + 1].append(t)
+                    elif g:
+                        part = g if below or above else gap(t, fixed) & avail
+                        if part:
+                            pending[g] = pending.get(g, 0) | part
+        vals.append(v)
+        low = new_low
+        v, stop = 1, n + 1
 
 
 def iter_avoiders(
@@ -386,6 +437,9 @@ def iter_avoiders(
     are ever extended.  ``first_entry`` (in 1..n) restricts the stream to
     permutations starting with that value (disjoint sub-ranges for parallel
     callers).
+
+    >>> [str(p) for p in iter_avoiders(3, Permutation.from_text("132"))]
+    ['123', '213', '231', '312', '321']
     """
     first, indecomposable = _prunes(n, pattern, selection, first_entry, ceiling)
     for vals in _walk(n, pattern.values, first, indecomposable):
@@ -400,6 +454,10 @@ def count_avoiders(
     first_entry: int | None = None,
     ceiling: int = DEFAULT_CEILING,
 ) -> int:
-    """Exact number of n-permutations avoiding ``pattern`` that pass ``selection``."""
+    """Exact number of n-permutations avoiding ``pattern`` that pass ``selection``.
+
+    >>> count_avoiders(6, Permutation.from_text("1342"))
+    512
+    """
     first, indecomposable = _prunes(n, pattern, selection, first_entry, ceiling)
     return sum(1 for _ in _walk(n, pattern.values, first, indecomposable))

@@ -32,9 +32,9 @@ from avoid1342 import (
     validate_beta01,
 )
 
-from avoid1342.bijections import _beats_successors, _contains_1342
+from avoid1342.bijections import _beat_extents, _contains_1342
 from conftest import perm_strategy
-from oracles import oracle_contains, oracle_reaches_matrix
+from oracles import oracle_beats_matrix, oracle_contains, oracle_reaches_matrix
 
 P = Permutation.from_text
 P1342 = P("1342")
@@ -294,7 +294,18 @@ def test_contains_1342_matches_subset_scan():
     for n in range(0, 8):
         for vals in permutations(range(1, n + 1)):
             expected = oracle_contains(vals, P1342.values)
-            assert _contains_1342(vals, _beats_successors(vals)) == expected, vals
+            assert _contains_1342(vals, _beat_extents(vals)[0]) == expected, vals
+
+
+def test_beat_extents_match_the_matrices():
+    def last_true(row):
+        return max((j for j, hit in enumerate(row) if hit), default=-1)
+
+    for n in range(0, 8):
+        for vals in permutations(range(1, n + 1)):
+            last_beaten, max_reach = _beat_extents(vals)
+            assert last_beaten == [last_true(row) for row in oracle_beats_matrix(vals)], vals
+            assert max_reach == [last_true(row) for row in oracle_reaches_matrix(vals)], vals
 
 
 def test_f_forward_rejects_exactly_the_1342_containers():

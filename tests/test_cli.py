@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from avoid1342 import IntegralityError, ReconstructionError, bijections
+from avoid1342 import IntegralityError, ReconstructionError, bijections, counting
 from avoid1342.cli import main
 
 S1342_VALUES = [1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662]
@@ -114,6 +114,20 @@ def test_sequence_json_shorthand(capsys):
     _, short_form, _ = run(capsys, "sequence", "--pattern", "1342", "--upto", "4",
                            "--method", "closed", "--json")
     assert long_form == short_form
+
+
+def test_values_past_the_default_digit_limit(capsys, monkeypatch):
+    # Python refuses int <-> str beyond 4 300 digits unless the limit is lifted
+    text = "1" + "0" * 4998 + "7"
+    monkeypatch.setattr(counting, "s1342_convolution", lambda n: [10 ** 4999 + 7] * (n + 1))
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "--pattern", "1342", "--n", "3", "--method", "convolution")
+    assert (code, out, err) == (0, text + "\n", "")
+    code, out, err = run(capsys, "sequence", "--pattern", "1342", "--upto", "2",
+                         "--method", "convolution", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["values"] == [{"n": 1, "value": text}, {"n": 2, "value": text}]
+    assert sys.get_int_max_str_digits() == limit
 
 
 # ---------------------------------------------------------------- map

@@ -1,4 +1,5 @@
 from itertools import permutations as iter_permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -299,7 +300,11 @@ _ORACLE_SELECTIONS = {
 }
 
 
-@pytest.mark.parametrize("pattern", ["1342", "2413", "1234", "12345", "132", "21"])
+_SMALL_PATTERNS = ["".join(map(str, q)) for k in range(1, 5)
+                   for q in iter_permutations(range(1, k + 1))]
+
+
+@pytest.mark.parametrize("pattern", [*_SMALL_PATTERNS, "12345", "13542", "25314"])
 def test_enumerate_every_selection_against_full_scan(pattern):
     q = P(pattern)
     for n in range(0, 7):
@@ -313,6 +318,24 @@ def test_enumerate_every_selection_against_full_scan(pattern):
                 got = [p.values for p in iter_avoiders(n, q, selection, first_entry=first)]
                 assert got == expected, (n, selection, first)
                 assert count_avoiders(n, q, selection, first_entry=first) == len(expected)
+            # the first entries partition the selection
+            parts = [count_avoiders(n, q, selection, first_entry=v) for v in range(1, n + 1)]
+            assert sum(parts) == count_avoiders(n, q, selection) or n == 0
+
+
+def test_enumerate_pattern_of_length_one_or_longer_than_n():
+    for n in range(0, 7):
+        assert count_avoiders(n, P("1")) == (1 if n == 0 else 0)
+        assert list(iter_avoiders(n, P("1"))) == ([Permutation(())] if n == 0 else [])
+        longer = Permutation(tuple(range(n + 1, 0, -1)))
+        assert count_avoiders(n, longer) == factorial(n)
+        assert [p.values for p in iter_avoiders(n, longer)] == list(iter_permutations(range(1, n + 1)))
+
+
+def test_enumerate_pinned_counts_at_nine():
+    # 2413 is Wilf-equivalent to 1342 (Stankova)
+    assert count_avoiders(9, P1342) == 91245
+    assert count_avoiders(9, P("2413")) == 91245
 
 
 def test_pattern_of():
