@@ -166,10 +166,14 @@ def f_forward(p: Permutation) -> LabeledPlaneTree:
     vals = p.values
     if _contains_1342(vals, _beat_extents(vals)[0]):
         raise DomainError("permutation contains 1342")
+    # every value below the minimum m of vals[i:] lies in vals[:i], so i - (m - 1)
+    # entries of vals[:i] exceed m
     labels = []
-    for i in range(1, n):
-        suffix_min = min(vals[i:])
-        labels.append(sum(1 for j in range(i) if vals[j] > suffix_min))
+    suffix_min = n + 1
+    for i in range(n - 1, 0, -1):
+        suffix_min = min(suffix_min, vals[i])
+        labels.append(i - suffix_min + 1)
+    labels.reverse()
     labels.append(labels[-1] if labels else 0)
     tree = None
     for label in labels:  # leaf first, root last

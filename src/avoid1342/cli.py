@@ -11,7 +11,8 @@ Subcommands::
     normalize  32514                                         # class representative
 
 Exit codes: 0 success, 1 verification discrepancy, 2 bad input or unsupported
-combination, 3 refused resource ceiling, 4 internal error (a failed
+combination, 3 refused resource ceiling (``--max-brute-n`` for brute force,
+``QUADRATIC_CEILING`` for series and convolution), 4 internal error (a failed
 self-check; a bug, never bad input).  Output is deterministic: the same
 invocation always produces the same bytes, whatever the worker count.
 """
@@ -40,6 +41,11 @@ EXIT_USER_ERROR = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
+#: Largest n that ``--method series`` and ``--method convolution`` accept.  Both
+#: are quadratic in big integers: at n = 2500 each takes about 30 s on a 2-core
+#: 2 GHz machine (at 3000, 60-70 s).
+QUADRATIC_CEILING = 2500
+
 _CLOSED_FORMS = {
     "1342": counting.s1342_closed,
     "1234": counting.s1234_closed,
@@ -67,7 +73,13 @@ def _brute_count(pattern: perms.Permutation, n: int, selection, ceiling: int, wo
     return perms.count_avoiders(n, pattern, selection, ceiling=ceiling)
 
 
-def _series_values(upto: int) -> list[int]:
+def _quadratic_values(method: str, upto: int) -> list[int]:
+    """s1342(0..upto) by ``--method series`` or ``--method convolution``."""
+    if upto > QUADRATIC_CEILING:
+        raise ResourceLimitError(
+            f"n={upto} exceeds the ceiling {QUADRATIC_CEILING} of --method {method}")
+    if method == "convolution":
+        return counting.s1342_convolution(upto)
     h = series.H_series_division(max(upto, 1))
     return [int(h.coefficient(n)) for n in range(upto + 1)]
 
@@ -78,14 +90,10 @@ def _one_value(pattern_text: str, n: int, method: str, args) -> int:
         if fn is None:
             raise DomainError(f"no closed form for pattern {pattern_text}")
         return fn(n) if n else 1  # the empty permutation, as for every other method
-    if method == "series":
+    if method in ("series", "convolution"):
         if pattern_text != "1342":
-            raise DomainError(f"no series for pattern {pattern_text}")
-        return _series_values(n)[n]
-    if method == "convolution":
-        if pattern_text != "1342":
-            raise DomainError(f"no convolution for pattern {pattern_text}")
-        return counting.s1342_convolution(n)[n]
+            raise DomainError(f"no {method} for pattern {pattern_text}")
+        return _quadratic_values(method, n)[n]
     if method == "brute":
         return _brute_count(_parse_perm(pattern_text), n, "all", args.max_brute_n, args.workers)
     raise DomainError(f"unknown method {method}")
@@ -101,11 +109,8 @@ def _cmd_count(args) -> int:
 def _cmd_sequence(args) -> int:
     if args.upto < 0:
         raise DomainError("--upto must be nonnegative")
-    if args.method == "series" and args.pattern == "1342":
-        values = _series_values(args.upto)
-        rows = [(n, values[n]) for n in range(1, args.upto + 1)]
-    elif args.method == "convolution" and args.pattern == "1342":
-        values = counting.s1342_convolution(args.upto)
+    if args.method in ("series", "convolution") and args.pattern == "1342":
+        values = _quadratic_values(args.method, args.upto)
         rows = [(n, values[n]) for n in range(1, args.upto + 1)]
     else:
         rows = [(n, _one_value(args.pattern, n, args.method, args))

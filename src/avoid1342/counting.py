@@ -13,8 +13,10 @@ Sequences handled here, all as exact arbitrary-precision integers:
   indecomposable counts via s(n) = sum_i I(i)·s(n-i);
 * ``s1234_closed(n)``   -- all 1234-avoiders of length n.
 
-Closed forms are evaluated with rational intermediates and the results
-asserted integral, so any transcription slip fails loudly instead of rounding.
+Closed forms are evaluated on integers: every division is a checked exact
+division (``IntegralityError`` on a remainder), so any transcription slip
+fails loudly instead of rounding.  Only ``s1234_closed``, whose terms are not
+integers, sums exact rationals and asserts the total integral.
 ``cross_check`` runs every available method pair over a shared range (brute
 force included up to its own bound) and reports disagreements as data.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, IntegralityError
+from .errors import DomainError, IntegralityError, exact_quotient
 from .perms import DEFAULT_CEILING, Permutation, count_avoiders
 from .series import F_series, H_series_division, H_series_rational
 from .trees import generate_all_beta01
@@ -53,9 +55,8 @@ def t_closed(n: int) -> int:
     """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    value = Fraction(3 * 2 ** (n - 1) * math.factorial(2 * n),
-                     math.factorial(n + 2) * math.factorial(n))
-    return _as_integer(value, f"t({n})")
+    return exact_quotient(3 * 2 ** (n - 1) * math.factorial(2 * n),
+                          math.factorial(n + 2) * math.factorial(n), f"t({n})")
 
 
 _t_cache = [None, 1]  # _t_cache[n] = t(n)
@@ -67,10 +68,8 @@ def t_recurrence(n: int) -> int:
         raise DomainError(f"n must be positive, got {n}")
     while len(_t_cache) <= n:
         m = len(_t_cache)
-        quotient, remainder = divmod((8 * m - 4) * _t_cache[m - 1], m + 2)
-        if remainder:
-            raise IntegralityError(f"t({m}) recurrence step is not an exact division")
-        _t_cache.append(quotient)
+        _t_cache.append(exact_quotient((8 * m - 4) * _t_cache[m - 1], m + 2,
+                                       f"t({m}) recurrence step"))
     return _t_cache[n]
 
 
@@ -85,21 +84,33 @@ def indecomposable_count(n: int) -> int:
     return 1 if n == 1 else t_closed(n - 1)
 
 
+_s1342_terms = [None, None, 12]  # _s1342_terms[i] = 3·2^(i+1)·(2i-4)!/(i!(i-2)!)
+
+
 def s1342_closed(n: int) -> int:
     """Number of 1342-avoiding n-permutations by the alternating closed form.
 
     (7n^2-3n-2)/2 · (-1)^(n-1)
       + 3·sum_{i=2..n} 2^(i+1) · (2i-4)!/(i!(i-2)!) · C(n-i+2, 2) · (-1)^(n-i);
-    the sum is empty for n = 1.  First values: 1, 2, 6, 23, 103, 512.
+    the sum is empty for n = 1.  First values: 1, 2, 6, 23, 103, 512.  The
+    integer terms 3·2^(i+1)·(2i-4)!/(i!(i-2)!) = 12, 16, 32, ... come from a
+    module list grown by the ratio 4(2i-5)/i, one checked division each.
+
+    >>> s1342_closed(6)
+    512
     """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    total = Fraction(7 * n * n - 3 * n - 2, 2) * (-1) ** (n - 1)
+    while len(_s1342_terms) <= n:
+        i = len(_s1342_terms)
+        _s1342_terms.append(exact_quotient(4 * (2 * i - 5) * _s1342_terms[i - 1], i,
+                                           f"s1342 term {i}"))
+    lead = exact_quotient(7 * n * n - 3 * n - 2, 2, f"s1342({n}) lead term")
+    total = lead if n % 2 else -lead
     for i in range(2, n + 1):
-        term = Fraction(2 ** (i + 1) * math.factorial(2 * i - 4),
-                        math.factorial(i) * math.factorial(i - 2))
-        total += 3 * term * math.comb(n - i + 2, 2) * (-1) ** (n - i)
-    return _as_integer(total, f"s1342({n})")
+        term = _s1342_terms[i] * math.comb(n - i + 2, 2)
+        total += -term if (n - i) % 2 else term
+    return total
 
 
 def s1342_convolution(up_to: int) -> list[int]:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checked exact division."""
 
 
 class InvalidPermutationError(ValueError):
@@ -39,6 +39,14 @@ class IntegralityError(ArithmeticError):
 
     This always signals a transcription bug in a formula, never bad user input.
     """
+
+
+def exact_quotient(numerator: int, denominator: int, context: str) -> int:
+    """numerator / denominator for a division known to be exact; else IntegralityError."""
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise IntegralityError(f"{context} is not an exact division by {denominator}")
+    return quotient
 
 
 class ReconstructionError(RuntimeError):

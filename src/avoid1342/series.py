@@ -4,6 +4,12 @@ A :class:`TruncatedSeries` knows its coefficients for x^0..x^order and nothing
 beyond; binary operations truncate to the smaller order, and reading past the
 order raises.  No floating point is used anywhere in this module.
 
+The named series are computed on integers and wrapped into ``Fraction`` once,
+at the end: (1-8x)^{3/2} by the ratio c_{n+1} = c_n·4(2n-3)/(n+1), and each
+quotient num/den by solving den·h = num one coefficient at a time.  Every
+division there is a checked exact division; a remainder raises
+``IntegralityError``.
+
 The two series of interest:
 
 * ``F_series`` -- coefficient of x^n counts indecomposable 1342-avoiding
@@ -20,10 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Sequence, Union
 
-from .errors import DomainError
+from .errors import DomainError, exact_quotient
 
 #: Default working order for the series constructors.
 DEFAULT_ORDER = 128
@@ -132,20 +137,49 @@ def shift_divide(series: TruncatedSeries, k: int) -> TruncatedSeries:
     return TruncatedSeries(series.coeffs[k:])
 
 
+def _sqrt_cubed(order: int) -> list[int]:
+    """Integer coefficients of (1-8x)^{3/2} for x^0..x^order (``order`` >= 0)."""
+    coeffs = [1, -12, 24][: order + 1]
+    for n in range(2, order):
+        coeffs.append(exact_quotient(coeffs[n] * 4 * (2 * n - 3), n + 1,
+                                     f"(1-8x)^(3/2) at x^{n + 1}"))
+    return coeffs
+
+
+def _plus(coeffs: list[int], low: Sequence[int]) -> list[int]:
+    """``coeffs`` with the polynomial ``low`` added to its leading terms."""
+    return [a + b for a, b in zip(coeffs, low)] + coeffs[len(low):]
+
+
+def _solve(num: Sequence[int], den: Sequence[int], order: int) -> TruncatedSeries:
+    """The series h with den·h = num up to x^order, on integers.
+
+    Each coefficient is one exact division by den[0]; only the nonzero terms
+    of den past the first are visited.
+    """
+    lead = den[0]
+    terms = [(i, d) for i, d in enumerate(den[1: order + 1], start=1) if d]
+    h: list[int] = []
+    for m in range(order + 1):
+        acc = num[m] if m < len(num) else 0
+        for i, d in terms:
+            if i > m:
+                break
+            acc -= d * h[m - i]
+        h.append(exact_quotient(acc, lead, f"coefficient x^{m}"))
+    return TruncatedSeries(tuple(map(Fraction, h)))
+
+
 def one_minus_8x_pow_3_2(order: int) -> TruncatedSeries:
     """(1-8x)^{3/2}: coefficients 1, -12, then 3*2^{n+2} (2n-4)!/(n! (n-2)!) for n >= 2.
 
-    Every coefficient from x^2 on is a positive integer; the whole expansion
-    agrees with the generic binomial series for (1-8x)^{3/2}.
+    From x^2 on each coefficient is a positive integer, c_2 = 24 and
+    c_{n+1} = c_n·4(2n-3)/(n+1); the whole expansion agrees with the generic
+    binomial series for (1-8x)^{3/2}.
     """
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    coeffs = [Fraction(1)]
-    if order >= 1:
-        coeffs.append(Fraction(-12))
-    for n in range(2, order + 1):
-        coeffs.append(Fraction(3 * 2 ** (n + 2) * factorial(2 * n - 4), factorial(n) * factorial(n - 2)))
-    return TruncatedSeries(tuple(coeffs))
+    return TruncatedSeries(tuple(map(Fraction, _sqrt_cubed(order))))
 
 
 def F_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -155,10 +189,8 @@ def F_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """
     if order < 1:
         raise DomainError(f"order must be at least 1, got {order}")
-    numerator = one_minus_8x_pow_3_2(order + 1) + TruncatedSeries.from_coefficients(
-        [-1, 12, 8], order=order + 1
-    )
-    return scale(shift_divide(numerator, 1), Fraction(1, 32))
+    numerator = _plus(_sqrt_cubed(order + 1), (-1, 12, 8))
+    return _solve(numerator[1:], [32], order)
 
 
 def H_series_division(order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -169,18 +201,20 @@ def H_series_division(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    denominator = TruncatedSeries.from_coefficients([1, 20, -8], order=order + 1) - one_minus_8x_pow_3_2(order + 1)
-    numerator = TruncatedSeries.from_coefficients([0, 32], order=order + 1)
-    return shift_divide(numerator, 1) * reciprocal(shift_divide(denominator, 1))
+    denominator = _plus([-c for c in _sqrt_cubed(order + 1)], (1, 20, -8))
+    return _solve([32], denominator[1:], order)
 
 
 def H_series_rational(order: int = DEFAULT_ORDER) -> TruncatedSeries:
-    """Counts of all 1342-avoiders via ((1-8x)^{3/2} - 8x^2 + 20x + 1) / (2(x+1)^3)."""
+    """Counts of all 1342-avoiders via ((1-8x)^{3/2} - 8x^2 + 20x + 1) / (2(x+1)^3).
+
+    >>> [int(c) for c in H_series_rational(6).coeffs]
+    [1, 1, 2, 6, 23, 103, 512]
+    """
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    numerator = one_minus_8x_pow_3_2(order) + TruncatedSeries.from_coefficients([1, 20, -8], order=order)
-    denominator = TruncatedSeries.from_coefficients([2, 6, 6, 2], order=order)
-    return numerator * reciprocal(denominator)
+    numerator = _plus(_sqrt_cubed(order), (1, 20, -8))
+    return _solve(numerator, [2, 6, 6, 2], order)
 
 
 def verify_H_algebraic(order: int, h: TruncatedSeries | None = None) -> bool:

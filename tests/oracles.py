@@ -6,6 +6,7 @@ bug in the library cannot hide behind the same bug in a test.
 """
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb, factorial
 
 
 def rank_pattern(vals):
@@ -75,6 +76,15 @@ def oracle_sqrt_cubed_coefficient(n):
     for i in range(n):
         binom *= (Fraction(3, 2) - i) / (i + 1)
     return binom * (-8) ** n
+
+
+def oracle_s1342_closed_form(n):
+    """The alternating closed form for s1342(n), summed in exact rationals."""
+    total = Fraction(7 * n * n - 3 * n - 2, 2) * (-1) ** (n - 1)
+    for i in range(2, n + 1):
+        term = Fraction(2 ** (i + 1) * factorial(2 * i - 4), factorial(i) * factorial(i - 2))
+        total += 3 * term * comb(n - i + 2, 2) * (-1) ** (n - i)
+    return total
 
 
 def oracle_catalan(n):

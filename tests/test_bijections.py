@@ -319,6 +319,27 @@ def test_f_forward_rejects_exactly_the_1342_containers():
                 assert f_inverse(f_forward(p)) == p
 
 
+def _path_text_by_suffix_scan(vals):
+    # leaf first: the entries before i above min(vals[i:]); the root repeats its child
+    labels = []
+    for i in range(1, len(vals)):
+        suffix_min = min(vals[i:])
+        labels.append(sum(1 for j in range(i) if vals[j] > suffix_min))
+    labels.append(labels[-1] if labels else 0)
+    text = str(labels[0])
+    for label in labels[1:]:
+        text = f"{label}({text})"
+    return text
+
+
+def test_f_forward_labels_match_the_suffix_scan():
+    for n in range(1, 9):
+        for p in iter_avoiders(n, P1342, "first_entry_is_1"):
+            assert serialize(f_forward(p)) == _path_text_by_suffix_scan(p.values)
+    p = Permutation((1,) + tuple(range(2000, 1, -1)))
+    assert serialize(f_forward(p)) == _path_text_by_suffix_scan(p.values)
+
+
 def test_forest_roundtrip_all_avoiders():
     for n in range(0, 7):
         seen = set()

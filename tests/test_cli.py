@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from avoid1342 import IntegralityError, ReconstructionError, bijections, counting
+from avoid1342 import IntegralityError, ReconstructionError, bijections, cli, counting
 from avoid1342.cli import main
 
 S1342_VALUES = [1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662]
@@ -51,6 +51,21 @@ def test_count_above_ceiling(capsys):
                        "--workers", "1")
     assert code == 3
     assert "ceiling" in err
+
+
+@pytest.mark.parametrize("command", ["count", "sequence"])
+@pytest.mark.parametrize("method", ["series", "convolution"])
+def test_quadratic_methods_refuse_n_above_their_ceiling(capsys, command, method):
+    size = "--n" if command == "count" else "--upto"
+    code, out, err = run(capsys, command, "--pattern", "1342", size, str(cli.QUADRATIC_CEILING + 1),
+                         "--method", method)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cli.QUADRATIC_CEILING) in err
+
+
+def test_quadratic_ceiling_leaves_room_for_the_benchmark_sizes():
+    assert cli.QUADRATIC_CEILING >= 2 * 1000
 
 
 def test_count_bad_pattern_text(capsys):
@@ -190,6 +205,14 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, error):
     monkeypatch.setattr(bijections, "F_inverse", broken)
     code, out, err = run(capsys, "map", "tree-to-perm", "0")
     assert (code, out, err) == (4, "", "internal error: self-check failed\n")
+
+
+def test_corrupt_closed_form_term_is_an_internal_error(capsys, monkeypatch):
+    # 13 in place of 12 makes the next ratio step 13·4/3 inexact
+    monkeypatch.setattr(counting, "_s1342_terms", [None, None, 13])
+    code, out, err = run(capsys, "count", "--n", "20", "--pattern", "1342", "--method", "closed")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- generate

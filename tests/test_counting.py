@@ -19,7 +19,9 @@ from avoid1342 import (
     t_recurrence,
 )
 
-from oracles import oracle_catalan
+from avoid1342 import counting
+
+from oracles import oracle_catalan, oracle_s1342_closed_form
 
 P1342 = Permutation((1, 3, 4, 2))
 P1234 = Permutation((1, 2, 3, 4))
@@ -168,3 +170,16 @@ def test_report_json_schema():
     entry = seq["entries"][0]
     assert set(entry) == {"n", "value", "method"}
     assert isinstance(entry["value"], str)  # decimal string, not a JSON number
+
+
+def test_s1342_closed_matches_the_rational_formula_to_300():
+    for n in range(1, 301):
+        assert s1342_closed(n) == oracle_s1342_closed_form(n)
+
+
+def test_s1342_closed_is_the_same_before_and_after_the_cache_grows(monkeypatch):
+    monkeypatch.setattr(counting, "_s1342_terms", [None, None, 12])
+    assert s1342_closed(5) == 103
+    assert s1342_closed(400) == s1342_convolution(400)[400]
+    assert len(counting._s1342_terms) == 401
+    assert s1342_closed(5) == 103

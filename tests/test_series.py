@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from avoid1342 import (
     DomainError,
+    IntegralityError,
     F_series,
     H_series_division,
     H_series_rational,
@@ -16,6 +17,8 @@ from avoid1342 import (
     shift_divide,
     verify_H_algebraic,
 )
+
+from avoid1342 import series
 
 from oracles import oracle_sqrt_cubed_coefficient
 
@@ -173,3 +176,52 @@ def test_verify_fails_on_perturbation():
 def test_verify_order_must_cover_series():
     with pytest.raises(DomainError):
         verify_H_algebraic(50, H_series_division(10))
+
+
+# ---------------------------------------------------------------- integer routes
+
+def _rational_sqrt_cubed(order):
+    return series_from([oracle_sqrt_cubed_coefficient(n) for n in range(order + 1)])
+
+
+def _quotient(numerator, denominator):
+    return numerator * reciprocal(denominator)
+
+
+def test_integer_routes_equal_the_rational_quotients_to_300():
+    order = 300
+    c = _rational_sqrt_cubed(order + 1)
+    division = _quotient(
+        shift_divide(series_from([0, 32], order=order + 1), 1),
+        shift_divide(series_from([1, 20, -8], order=order + 1) - c, 1),
+    )
+    rational = _quotient(c.truncate(order) + series_from([1, 20, -8], order=order),
+                         series_from([2, 6, 6, 2], order=order))
+    f = scale(shift_divide(c + series_from([-1, 12, 8], order=order + 1), 1), Fraction(1, 32))
+    assert H_series_division(order) == division
+    assert H_series_rational(order) == rational
+    assert F_series(order) == f
+    assert one_minus_8x_pow_3_2(order + 1) == c
+
+
+def test_named_series_hold_fraction_coefficients():
+    for s in (one_minus_8x_pow_3_2(0), one_minus_8x_pow_3_2(9), F_series(1), F_series(9),
+              H_series_division(0), H_series_division(9), H_series_rational(0),
+              H_series_rational(9)):
+        assert all(type(c) is Fraction for c in s.coeffs)
+    assert [s.order for s in (one_minus_8x_pow_3_2(0), F_series(1), H_series_division(0),
+                              H_series_rational(0))] == [0, 1, 0, 0]
+
+
+def test_H_division_text_is_pinned():
+    assert str(H_series_division(8)) == (
+        "0: 1\n1: 1\n2: 2\n3: 6\n4: 23\n5: 103\n6: 512\n7: 2740\n8: 15485"
+    )
+
+
+def test_solver_refuses_an_inexact_division():
+    assert series._solve([4, 2], [2, -1], 1).coeffs == (2, 2)
+    with pytest.raises(IntegralityError):
+        series._solve([1], [2], 0)
+    with pytest.raises(IntegralityError):
+        series._solve([2, 1], [2, 6, 6, 2], 1)
