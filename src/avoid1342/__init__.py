@@ -33,6 +33,7 @@ from .counting import (
     indecomposable_count,
     nth_root_estimate,
     s1234_closed,
+    s1234_recurrence,
     s1342_closed,
     s1342_convolution,
     t_closed,

@@ -112,6 +112,8 @@ def _cmd_sequence(args) -> int:
     if args.method in ("series", "convolution") and args.pattern == "1342":
         values = _quadratic_values(args.method, args.upto)
         rows = [(n, values[n]) for n in range(1, args.upto + 1)]
+    elif args.method == "closed" and args.pattern == "1234":
+        rows = list(enumerate(counting.s1234_recurrence(args.upto)))[1:]
     else:
         rows = [(n, _one_value(args.pattern, n, args.method, args))
                 for n in range(1, args.upto + 1)]

@@ -11,7 +11,8 @@ Sequences handled here, all as exact arbitrary-precision integers:
 * ``s1342_closed(n)``   -- all 1342-avoiders of length n, by the alternating
   closed form; ``s1342_convolution`` builds the same numbers from the
   indecomposable counts via s(n) = sum_i I(i)·s(n-i);
-* ``s1234_closed(n)``   -- all 1234-avoiders of length n.
+* ``s1234_closed(n)``   -- all 1234-avoiders of length n; ``s1234_recurrence``
+  builds the same numbers from their P-recurrence.
 
 Closed forms are evaluated on integers: every division is a checked exact
 division (``IntegralityError`` on a remainder), so any transcription slip
@@ -147,6 +148,25 @@ def s1234_closed(n: int) -> int:
             (i + 1) ** 2 * (i + 2) * (n - i + 1),
         )
     return _as_integer(2 * total, f"s1234({n})")
+
+
+def s1234_recurrence(up_to: int) -> list[int]:
+    """Values s1234(0..up_to) from the P-recurrence, one checked division per term.
+
+    (n+4)^2·a(n+2) = (10n^2+42n+41)·a(n+1) - 9(n+1)^2·a(n), a(0) = a(1) = 1,
+    the recurrence implied by Gessel's formula; O(up_to) big-integer steps,
+    where ``s1234_closed`` costs O(n) rationals per value.
+
+    >>> s1234_recurrence(7)
+    [1, 1, 2, 6, 23, 103, 513, 2761]
+    """
+    if up_to < 0:
+        raise DomainError(f"up_to must be nonnegative, got {up_to}")
+    out = [1, 1]
+    for n in range(up_to - 1):
+        step = (10 * n * n + 42 * n + 41) * out[n + 1] - 9 * (n + 1) ** 2 * out[n]
+        out.append(exact_quotient(step, (n + 4) ** 2, f"s1234({n + 2}) recurrence step"))
+    return out[:up_to + 1]
 
 
 def nth_root_estimate(n: int) -> float:

@@ -1,9 +1,10 @@
+import random
 from itertools import permutations as iter_permutations
 
 import pytest
 from hypothesis import strategies as st
 
-from avoid1342 import Permutation
+from avoid1342 import LabeledPlaneTree, Permutation
 
 
 @st.composite
@@ -17,3 +18,23 @@ def perm_strategy(draw, min_n=0, max_n=7):
 def all_perms_by_n():
     """Every permutation of every length up to 6, as raw tuples."""
     return {n: list(iter_permutations(range(1, n + 1))) for n in range(0, 7)}
+
+
+def random_valid_tree(seed, n, bushy=True):
+    """A seeded valid labeled tree on n nodes, built bottom-up without recursion.
+
+    Bushy shapes hang node i under a uniform earlier node; otherwise the
+    shape is a path.  Each internal non-root label is uniform in
+    0..1 + (child sum), the root carries its child sum and leaves carry 0.
+    """
+    rng = random.Random(seed)
+    parent = [-1] + [rng.randrange(i) if bushy else i - 1 for i in range(1, n)]
+    kids = [[] for _ in range(n)]
+    for i in range(1, n):
+        kids[parent[i]].append(i)
+    built = [None] * n
+    for i in range(n - 1, -1, -1):  # children carry larger indices
+        child_sum = sum(built[c].label for c in kids[i])
+        label = 0 if not kids[i] else child_sum if i == 0 else rng.randint(0, child_sum + 1)
+        built[i] = LabeledPlaneTree(label, tuple(built[c] for c in kids[i]))
+    return built[0]

@@ -19,6 +19,7 @@ from avoid1342 import (
     TruncatedSeries,
     catalan,
     classify_shape,
+    contains,
     count_avoiders,
     f_forward,
     f_inverse,
@@ -26,6 +27,7 @@ from avoid1342 import (
     iter_avoiders,
     iter_shapes,
     iter_valid_labelings,
+    normalize,
     nth_root_estimate,
     path_shape,
     perm_to_shape,
@@ -40,8 +42,11 @@ from avoid1342 import (
     verify_H_algebraic,
 )
 
+from conftest import random_valid_tree
+
 P1342 = Permutation((1, 3, 4, 2))
 P1234 = Permutation((1, 2, 3, 4))
+P132 = Permutation((1, 3, 2))
 
 #: first ten counts of 1342-avoiders, pinned across every method
 KNOWN_VALUES = [1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662]
@@ -216,3 +221,16 @@ def test_criterion_10_convergence_sanity(convolution_500):
     elapsed = time.perf_counter() - start
     ok = 7.3 < at_200 < 8.0 and at_200 > at_50 and elapsed < 10.0
     _report(10, ok, elapsed, f"s_n^(1/n): {at_50:.6f} at n=50 -> {at_200:.6f} at n=200")
+
+
+def test_criterion_11_contains_on_a_long_avoider():
+    # a 2 000-node random recursive tree, mapped to a 1342-avoider
+    p = F_inverse(random_valid_tree(11, 2000))
+    representative = normalize(p)
+    start = time.perf_counter()
+    has_1342 = contains(p, P1342)
+    has_132 = contains(representative, P132)
+    elapsed = time.perf_counter() - start
+    ok = not has_1342 and not has_132 and elapsed < 2.0
+    _report(11, ok, elapsed,
+            f"contains on a 2000-entry avoider: 1342 {has_1342}, 132 on its representative {has_132}")

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -92,6 +93,20 @@ def test_sequence_closed_matches_known_values(capsys):
                        "--method", "closed")
     assert code == 0
     assert out == "".join(f"{n} {v}\n" for n, v in enumerate(S1342_VALUES, start=1))
+
+
+def test_sequence_1234_closed_is_linear_in_upto(capsys):
+    # one P-recurrence step per value; summing the closed form for every n
+    # grows about 8-fold per doubling of --upto (about 30 s at 1000)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "sequence", "--pattern", "1234", "--upto", "1000",
+                       "--method", "closed")
+    elapsed = time.perf_counter() - start
+    rows = [line.split() for line in out.splitlines()]
+    assert code == 0 and len(rows) == 1000
+    assert [int(v) for _, v in rows[:8]] == [1, 2, 6, 23, 103, 513, 2761, 15767]
+    assert rows[-1] == ["1000", str(counting.s1234_closed(1000))]
+    assert elapsed < 3.0, elapsed
 
 
 def test_sequence_empty(capsys):

@@ -13,6 +13,7 @@ from avoid1342 import (
     indecomposable_count,
     nth_root_estimate,
     s1234_closed,
+    s1234_recurrence,
     s1342_closed,
     s1342_convolution,
     t_closed,
@@ -118,6 +119,17 @@ def test_bounds_hold_to_100():
         assert s1342_closed(n) < 8 ** n
     for n in range(6, 101):
         assert s1342_closed(n) < s1234_closed(n)
+
+
+def test_s1234_recurrence_matches_closed_form_and_brute_force():
+    values = s1234_recurrence(300)
+    assert len(values) == 301 and values[0] == 1
+    assert all(values[n] == s1234_closed(n) for n in range(1, 301))
+    assert all(values[n] == count_avoiders(n, P1234) for n in range(0, 9))
+    assert s1234_recurrence(0) == [1]
+    assert s1234_recurrence(1) == [1, 1]
+    with pytest.raises(DomainError):
+        s1234_recurrence(-1)
 
 
 def test_s1342_equals_s1234_below_six():

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations as iter_permutations
 from math import factorial
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 
 from avoid1342 import (
     ClassSignature,
+    F_inverse,
     InvalidPermutationError,
     Permutation,
     ResourceLimitError,
@@ -22,9 +24,10 @@ from avoid1342 import (
     pattern_of,
     same_class,
 )
+from avoid1342.bijections import _beat_extents, _contains_1342
 from avoid1342.errors import DomainError
 
-from conftest import perm_strategy
+from conftest import perm_strategy, random_valid_tree
 from oracles import (
     oracle_avoiders,
     oracle_contains,
@@ -82,12 +85,47 @@ def test_contains_empty_host():
         contains(P("123"), Permutation(()))
 
 
-@pytest.mark.parametrize("pattern", ["132", "1342", "1234", "2413"])
+_SMALL_PATTERNS = ["".join(map(str, q)) for k in range(1, 5)
+                   for q in iter_permutations(range(1, k + 1))]
+
+
+@pytest.mark.parametrize("pattern", [*_SMALL_PATTERNS, "12345", "13542", "25314"])
 def test_contains_matches_subset_scan(pattern, all_perms_by_n):
     q = P(pattern)
-    for n in (len(q), len(q) + 1, len(q) + 2):
-        for vals in all_perms_by_n[n]:
-            assert contains(Permutation(vals), q) == oracle_contains(vals, q.values)
+    hosts = [vals for n in range(0, 7) for vals in all_perms_by_n[n]]
+    if pattern in ("132", "1342", "1234", "2413"):
+        hosts += iter_permutations(range(1, 8))
+    for vals in hosts:
+        assert contains(Permutation(vals), q) == oracle_contains(vals, q.values), vals
+
+
+def test_contains_on_long_monotone_hosts():
+    identity = Permutation(tuple(range(1, 301)))
+    reverse = Permutation(tuple(range(300, 0, -1)))
+    for pattern in [q for q in _SMALL_PATTERNS if len(q) == 4]:
+        q = P(pattern)
+        assert contains(identity, q) == (pattern == "1234")
+        assert contains(reverse, q) == (pattern == "4321")
+
+
+def test_contains_on_long_tree_avoiders():
+    outcomes = set()
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        p = F_inverse(random_valid_tree(seed, 2000))
+        assert not contains(p, P1342)
+        assert not contains(normalize(p), P132)
+        # a swap may create a 1342, and the beats pass of bijections decides
+        # that independently in O(n); adjacent swaps often keep p an avoider
+        for draw in range(10):
+            vals = list(p.values)
+            i = rng.randrange(len(vals) - 1)
+            j = i + 1 if draw % 2 else rng.randrange(i + 1, len(vals))
+            vals[i], vals[j] = vals[j], vals[i]
+            expected = _contains_1342(vals, _beat_extents(vals)[0])
+            assert contains(Permutation(tuple(vals)), P1342) == expected, (seed, i, j)
+            outcomes.add(expected)
+    assert outcomes == {False, True}
 
 
 def test_count_occurrences_examples():
@@ -298,10 +336,6 @@ _ORACLE_SELECTIONS = {
     "indecomposable": oracle_is_indecomposable,
     "first_entry_is_1": lambda vals: vals[:1] == (1,),
 }
-
-
-_SMALL_PATTERNS = ["".join(map(str, q)) for k in range(1, 5)
-                   for q in iter_permutations(range(1, k + 1))]
 
 
 @pytest.mark.parametrize("pattern", [*_SMALL_PATTERNS, "12345", "13542", "25314"])
