@@ -15,25 +15,34 @@ The labels of ``F_forward`` are driven by two relations on entries: ``beats``
 transitive closure along increasing positions).  Entries are attached to tree
 nodes by the children-first reading order of :mod:`avoid1342.trees`.
 
+``F`` and the shape map work on arrays indexed by reading position (labels,
+parents, child lists) from start to finish.  ``F_forward`` takes the child
+lists of N(p) from one next-larger-to-the-right pass, checks them exactly,
+computes the labels in one loop, checks validity on the arrays and builds each
+node once.  ``F_inverse`` walks its tree once into the same arrays, and the
+validity check, the shape's values and the minima are all read off them.
+
 Everything here is pure; exhaustive verification over permutation or tree
 ranges can be partitioned freely across workers.
 """
 from __future__ import annotations
 
 from itertools import accumulate
+from typing import Sequence
 
 from .errors import DomainError, ReconstructionError
 from .perms import (
     Permutation,
+    _normalize_values,
     compose_blocks,
     decompose,
     is_indecomposable,
-    left_to_right_minima,
-    normalize,
 )
 from .trees import (
     LabeledPlaneTree,
-    _fold,
+    _from_arrays,
+    _labels_valid,
+    _reading_arrays,
     classify_shape,
     postorder_positions,
     validate_beta01,
@@ -42,22 +51,6 @@ from .trees import (
 # ---------------------------------------------------------------------------
 # beats / reaches
 # ---------------------------------------------------------------------------
-
-def _beats_successors(vals: tuple[int, ...]) -> list[list[int]]:
-    """0-based adjacency: j in succ[i] iff entry i beats entry j.
-
-    Entry i beats entry j (i < j) iff some h < i has p_h < p_j < p_i, which is
-    equivalent to min(p_1..p_{i-1}) < p_j < p_i.  Used by ``reaches`` only.
-    """
-    n = len(vals)
-    succ: list[list[int]] = [[] for _ in range(n)]
-    prefix_min = n + 1
-    for i in range(n):
-        if i > 0:
-            succ[i] = [j for j in range(i + 1, n) if prefix_min < vals[j] < vals[i]]
-        prefix_min = min(prefix_min, vals[i])
-    return succ
-
 
 def _beat_extents(vals: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """For each 0-based position: the last position it beats and the last it reaches.
@@ -122,25 +115,26 @@ def reaches(p: Permutation, i: int, k: int) -> bool:
 
     Every beaten entry is also reached; positions must strictly increase along
     the chain, so k <= i is always False.
+
+    An entry a beats exactly the later values strictly between m_a, the
+    minimum before a, and p_a.  A reached entry's value lies inside that
+    range of the entry that beat it and its own minimum is no larger, so the
+    values beaten by i or by anything it reaches always form one range
+    (m, p_i), with m the minimum before the last entry reached.  One forward
+    scan from i to k decides it.
     """
     n = len(p)
     if not (1 <= i <= n and 1 <= k <= n):
         raise DomainError(f"positions must lie in 1..{n}")
-    if k <= i:
-        return False
-    succ = _beats_successors(p.values)
-    frontier = [i - 1]
-    seen = set(frontier)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in succ[a]:
-                if b == k - 1:
-                    return True
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
+    vals = p.values
+    prefix_min = min(vals[: i - 1], default=n + 1)
+    bottom, top = prefix_min, vals[i - 1]
+    for j in range(i, k):  # vals[j] sits at position j + 1
+        prefix_min = min(prefix_min, vals[j - 1])
+        if bottom < vals[j] < top:
+            if j == k - 1:
+                return True
+            bottom = prefix_min
     return False
 
 
@@ -218,26 +212,6 @@ def f_inverse(tree: LabeledPlaneTree) -> Permutation:
 # the zero-tree map (shapes <-> 132-avoiders ending with n)
 # ---------------------------------------------------------------------------
 
-def _position_arrays(tree: LabeledPlaneTree) -> tuple[list[int], list[int], list[list[int]]]:
-    """Labels, parents and child lists indexed by reading position 1..n.
-
-    Index 0 is unused; it also stands for "no parent", the root's entry.
-    """
-    label, parent, kids = [0], [0], [[]]
-
-    def record(node: LabeledPlaneTree, child_positions: list[int]) -> int:
-        pos = len(label)
-        label.append(node.label)
-        parent.append(0)
-        kids.append(child_positions)
-        for c in child_positions:
-            parent[c] = pos
-        return pos
-
-    _fold(tree, record)
-    return label, parent, kids
-
-
 def shape_to_perm(tree: LabeledPlaneTree) -> Permutation:
     """Map an all-zero tree to the 132-avoiding permutation ending with n.
 
@@ -247,9 +221,10 @@ def shape_to_perm(tree: LabeledPlaneTree) -> Permutation:
     >>> str(shape_to_perm(LabeledPlaneTree(0, (LabeledPlaneTree(0), LabeledPlaneTree(0)))))
     '213'
     """
-    if not classify_shape(tree).all_zero_labels:
+    label, _, kids = _reading_arrays(tree)
+    if any(label):
         raise DomainError("tree has a nonzero label")
-    return Permutation(tuple(_shape_to_vals(_position_arrays(tree)[2])))
+    return Permutation(tuple(_shape_to_vals(kids)))
 
 
 def _shape_to_vals(kids: list[list[int]]) -> list[int]:
@@ -269,27 +244,41 @@ def _shape_to_vals(kids: list[list[int]]) -> list[int]:
     return vals
 
 
-def perm_to_shape(p: Permutation) -> LabeledPlaneTree:
-    """Invert ``shape_to_perm``: each entry's parent is the next larger entry to its right."""
-    vals = p.values
-    if not vals:
-        raise DomainError("the shape map needs a nonempty permutation")
-    if vals[-1] != len(vals):
-        raise DomainError("permutation does not end with its largest entry")
-    open_nodes: list[tuple[int, LabeledPlaneTree]] = []  # entries still waiting for a parent
-    for v in vals:
-        first = len(open_nodes)
-        while first and open_nodes[first - 1][0] < v:
+def _shape_kids(vals: Sequence[int]) -> list[list[int]]:
+    """Child lists by reading position (index 0 unused) of the shape of ``vals``.
+
+    Each entry's parent is the next larger entry to its right, found in one
+    pass over a stack of the entries still waiting for one.  ``_shape_to_vals``
+    maps the shapes onto the 132-avoiders ending with n and this pass inverts
+    it there, so checking that it maps the child lists back to ``vals`` is an
+    exact test.
+    """
+    kids: list[list[int]] = [[]]
+    waiting: list[int] = []  # positions, their values decreasing towards the top
+    for pos, v in enumerate(vals, start=1):
+        first = len(waiting)
+        while first and vals[waiting[first - 1] - 1] < v:
             first -= 1
-        kids = tuple(node for _, node in open_nodes[first:])
-        del open_nodes[first:]
-        open_nodes.append((v, LabeledPlaneTree(0, kids)))
-    shape = open_nodes[0][1]
-    # shape_to_perm maps shapes onto the 132-avoiders ending with n, and the
-    # pass above inverts it there, so this test is exact
-    if shape_to_perm(shape) != p:
+        kids.append(waiting[first:])
+        del waiting[first:]
+        waiting.append(pos)
+    if len(waiting) != 1:
+        raise DomainError("permutation does not end with its largest entry")
+    if _shape_to_vals(kids) != list(vals):
         raise DomainError("permutation contains 132")
-    return shape
+    return kids
+
+
+def perm_to_shape(p: Permutation) -> LabeledPlaneTree:
+    """Invert ``shape_to_perm``: each entry's parent is the next larger entry to its right.
+
+    >>> str(perm_to_shape(Permutation.from_text("341256")))
+    '0(0(0(0) 0(0)))'
+    """
+    if not p.values:
+        raise DomainError("the shape map needs a nonempty permutation")
+    kids = _shape_kids(p.values)
+    return _from_arrays([0] * len(kids), kids)
 
 
 # ---------------------------------------------------------------------------
@@ -304,35 +293,37 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     (itself included) whose entry reaches some entry past the node's own
     position; the root's label is the sum of its children's labels.
 
+    Everything runs on arrays by reading position: the child lists of N(p)
+    come from one next-larger-to-the-right pass, checked exactly, and one
+    left-to-right loop gives each subtree's first position and each label.
+    The labels are checked for validity on the arrays, and the tree is built
+    once at the end.
+
     >>> str(F_forward(Permutation.from_text("361542")))
     '3(3(1(0) 1(0)))'
     """
-    n = len(p)
+    vals = p.values
+    n = len(vals)
     if n < 1:
         raise DomainError("the bijection needs a nonempty permutation")
-    last_beaten, max_reach = _beat_extents(p.values)
-    if _contains_1342(p.values, last_beaten):
+    last_beaten, max_reach = _beat_extents(vals)
+    if _contains_1342(vals, last_beaten):
         raise DomainError("permutation contains 1342")
     if not is_indecomposable(p):
         raise DomainError("permutation is decomposable")
 
-    pos = 0
-
-    def relabel(node: LabeledPlaneTree, kids: list[tuple[int, LabeledPlaneTree]]):
-        nonlocal pos
-        pos += 1
-        size = 1 + sum(s for s, _ in kids)
-        children = tuple(child for _, child in kids)
-        if pos < n:
-            label = sum(1 for j in range(pos - size, pos) if max_reach[j] >= pos)
-        else:
-            label = sum(child.label for child in children)
-        return size, LabeledPlaneTree(label, children)
-
-    _, result = _fold(perm_to_shape(normalize(p)), relabel)
-    if not validate_beta01(result):  # always holds on the stated domain; failure is a bug
+    kids = _shape_kids(_normalize_values(vals))
+    first = list(range(n + 1))  # the first position of each subtree
+    label = [0] * (n + 1)
+    for pos in range(1, n):
+        child_positions = kids[pos]
+        if child_positions:
+            first[pos] = first[child_positions[0]]
+        label[pos] = len([r for r in max_reach[first[pos] - 1:pos] if r >= pos])
+    label[n] = sum([label[c] for c in kids[n]])
+    if not _labels_valid(label, kids):  # always holds on the stated domain; failure is a bug
         raise ReconstructionError(f"forward map produced an invalid tree for {p}")
-    return result
+    return _from_arrays(label, kids)
 
 
 def F_inverse(tree: LabeledPlaneTree) -> Permutation:
@@ -347,24 +338,30 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
     into blocks -- detectable from the minima alone -- each block continues as
     an independent subtree with its own run of consecutive values.
 
-    Nodes are reading positions.  Deleting a node or cutting off a block keeps
-    the reading order of what is left, so every subtree is carried along as
-    the sorted list of its positions and is never walked again.
+    Nodes are reading positions.  One walk of the tree gives its labels,
+    parents and child lists; validity, the shape's values and the minima are
+    read off those arrays.  Deleting a node or cutting off a block keeps the
+    reading order of what is left, so every subtree is carried along as the
+    sorted list of its positions and is never walked again.
+
+    >>> from avoid1342.trees import parse
+    >>> str(F_inverse(parse("3(3(1(0) 1(0)))")))
+    '361542'
     """
-    if not validate_beta01(tree):
+    label, parent, kids = _reading_arrays(tree)
+    if not _labels_valid(label, kids):
         raise DomainError("invalid labeled tree")
-    label, parent, kids = _position_arrays(tree)
     n = len(label) - 1
 
-    base = _shape_to_vals(kids)
-    leaves = [pos for pos in range(1, n + 1) if not kids[pos]]
-    if leaves != [pos for pos, _ in left_to_right_minima(Permutation(tuple(base))).minima]:
-        raise ReconstructionError("leaves do not line up with the left-to-right minima")
     # value placed at each position, 0 while unplaced; a placed node leaves the
     # tree, so among the nodes still in it only the minima carry a value
     out = [0] * (n + 1)
-    for pos in leaves:
-        out[pos] = base[pos - 1]
+    low = n + 1
+    for pos, v in enumerate(_shape_to_vals(kids), start=1):
+        if (v < low) == bool(kids[pos]):
+            raise ReconstructionError("leaves do not line up with the left-to-right minima")
+        if v < low:
+            low = out[pos] = v
 
     # each item: the top of a subtree, its positions in reading order, and the
     # values (descending, minima included) to place on it
@@ -448,8 +445,9 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
                 if parent[tops[0]]:
                     kids[parent[tops[0]]].remove(tops[0])
                     parent[tops[0]] = 0
-                chunk = values[a:b]
-                if any(out[pos] and out[pos] not in chunk for pos in block):
+                chunk = values[a:b]  # a run of consecutive values, like ``values``
+                low, high = chunk[-1], chunk[0]
+                if any(out[pos] and not low <= out[pos] <= high for pos in block):
                     raise ReconstructionError("minimum fell outside its value block")
                 work.append((tops[0], block, chunk))
             break

@@ -24,7 +24,6 @@ one permutation and stops at the first value in ``forbid``.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Literal, Sequence, get_args
@@ -284,19 +283,36 @@ def normalize(p: Permutation) -> Permutation:
     >>> str(normalize(Permutation.from_text("361542")))
     '341256'
     """
-    signature = dict(left_to_right_minima(p).minima)
-    min_values = set(signature.values())
-    pool = sorted(v for v in p.values if v not in min_values)
+    return Permutation(tuple(_normalize_values(p.values)))
+
+
+def _normalize_values(vals: Sequence[int]) -> list[int]:
+    """``normalize`` on the values of a permutation of 1..n.
+
+    The minima decrease, so each new minimum makes only values below all
+    earlier candidates eligible.  The unplaced eligible non-minima therefore
+    form a stack with the smallest on top, filled from n downwards.
+    """
+    n = len(vals)
+    is_minimum = [False] * (n + 1)
+    current = n + 1
+    for v in vals:
+        if v < current:
+            current = v
+            is_minimum[v] = True
     out: list[int] = []
-    current = 0
-    for i in range(1, len(p) + 1):
-        if i in signature:
-            current = signature[i]
-            out.append(current)
+    eligible: list[int] = []
+    below = n  # every non-minimum above this value is on the stack or placed
+    for v in vals:
+        if is_minimum[v]:
+            while below > v:
+                if not is_minimum[below]:
+                    eligible.append(below)
+                below -= 1
+            out.append(v)
         else:
-            j = bisect.bisect_right(pool, current)
-            out.append(pool.pop(j))
-    return Permutation(tuple(out))
+            out.append(eligible.pop())
+    return out
 
 
 def _prunes(

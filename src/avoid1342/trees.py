@@ -18,7 +18,13 @@ the node itself (commonly called post-order; some sources name this reading
 it every subtree occupies a contiguous span of positions ending at its top
 node, and the root sits at position n.  Every walk over a tree is a loop over
 this reading order (``postorder_positions``), never a recursion, so only
-memory limits how deep a tree may be.
+memory limits how deep a tree may be.  Code that needs more than one look at
+a tree takes it once into arrays indexed by reading position (labels,
+parents, child lists; ``_reading_arrays``), checks it there
+(``_labels_valid``, the one home of the validity rule) and builds trees back
+from arrays with each node made once (``_from_arrays``).  The generators are
+loops too: they step the pre-order subtree sizes of a shape, or the labels in
+reading order, like an odometer.
 
 Trees are immutable; generation streams are restartable, and the shape level
 is exposed separately (``iter_shapes`` + ``iter_valid_labelings``) so callers
@@ -97,6 +103,50 @@ def _fold(tree: LabeledPlaneTree, combine: Callable[[LabeledPlaneTree, list[_T]]
     return done[0]
 
 
+def _reading_arrays(tree: LabeledPlaneTree) -> tuple[list[int], list[int], list[list[int]]]:
+    """Labels, parents and child lists indexed by reading position 1..n.
+
+    Index 0 is unused; it also stands for "no parent", the root's entry.
+    """
+    label, parent, kids = [0], [0], [[]]
+    open_positions: list[int] = []  # finished positions still waiting for their parent
+    for pos, node in enumerate(postorder_positions(tree), start=1):
+        label.append(node.label)
+        parent.append(0)
+        first = len(open_positions) - len(node.children)
+        child_positions = open_positions[first:]
+        del open_positions[first:]
+        for c in child_positions:
+            parent[c] = pos
+        kids.append(child_positions)
+        open_positions.append(pos)
+    return label, parent, kids
+
+
+def _from_arrays(label: list[int], kids: list[list[int]]) -> LabeledPlaneTree:
+    """Build the tree of ``_reading_arrays`` form, each node once, children first."""
+    built = [None]
+    for pos in range(1, len(kids)):
+        child_positions = kids[pos]
+        built.append(LabeledPlaneTree(
+            label[pos], tuple([built[c] for c in child_positions]) if child_positions else ()
+        ))
+    return built[-1]
+
+
+def _labels_valid(label: list[int], kids: list[list[int]]) -> bool:
+    """``validate_beta01`` on the ``_reading_arrays`` form; the root sits at the last position."""
+    root = len(kids) - 1
+    for pos in range(1, root):
+        child_positions = kids[pos]
+        if child_positions:
+            if label[pos] > 1 + sum([label[c] for c in child_positions]):
+                return False
+        elif label[pos]:
+            return False
+    return label[root] == sum([label[c] for c in kids[root]])
+
+
 def subtree_size(tree: LabeledPlaneTree) -> int:
     """Number of nodes in the tree."""
     return len(postorder_positions(tree))
@@ -108,14 +158,8 @@ def validate_beta01(tree: LabeledPlaneTree) -> bool:
     A single node is treated as a root with empty child sum, forcing label 0;
     the leaf rule would force the same.
     """
-    nodes = postorder_positions(tree)
-    root = nodes.pop()
-    if root.label != sum(c.label for c in root.children):
-        return False
-    return all(
-        node.label <= 1 + sum(c.label for c in node.children) if node.children else node.label == 0
-        for node in nodes
-    )
+    label, _, kids = _reading_arrays(tree)
+    return _labels_valid(label, kids)
 
 
 def serialize(tree: LabeledPlaneTree) -> str:
@@ -207,52 +251,77 @@ def path_shape(n: int) -> LabeledPlaneTree:
 
 
 def iter_shapes(n: int) -> Iterator[LabeledPlaneTree]:
-    """All plane tree shapes on n nodes as all-zero trees, in a fixed recursive order.
+    """All plane tree shapes on n nodes as all-zero trees, in a fixed order.
 
-    There are Catalan(n-1) of them.
+    There are Catalan(n-1) of them.  A shape is given by its subtree sizes
+    read in pre-order, and the shapes come in lexicographic order of that
+    sequence: first the root over n-1 leaves, last the path.  The sequence is
+    stepped like an odometer, so no shape needs a recursion.
     """
-    if n == 1:
-        yield LabeledPlaneTree(0)
+    if n < 1:
         return
-
-    def forests(m: int) -> Iterator[tuple[LabeledPlaneTree, ...]]:
-        if m == 0:
-            yield ()
+    size = [n] + [1] * (n - 1)
+    while True:
+        yield _shape_from_sizes(size)
+        # the last node that can grow: its parent's subtree ends past its own
+        last = 0
+        ends = [n]  # pre-order end of every subtree still open
+        for i in range(1, n):
+            while ends[-1] <= i:
+                ends.pop()
+            if i + size[i] < ends[-1]:
+                last = i
+            ends.append(i + size[i])
+        if not last:
             return
-        for first_size in range(1, m + 1):
-            for first in iter_shapes(first_size):
-                for rest in forests(m - first_size):
-                    yield (first,) + rest
+        size[last] += 1
+        size[last + 1:] = [1] * (n - 1 - last)
 
-    for kids in forests(n - 1):
-        yield LabeledPlaneTree(0, kids)
+
+def _shape_from_sizes(size: list[int]) -> LabeledPlaneTree:
+    """The all-zero tree whose subtree sizes in pre-order are ``size``."""
+    built: list[LabeledPlaneTree] = [None] * len(size)
+    for k in range(len(size) - 1, -1, -1):
+        children = []
+        c, end = k + 1, k + size[k]
+        while c < end:
+            children.append(built[c])
+            c += size[c]
+        built[k] = LabeledPlaneTree(0, tuple(children))
+    return built[0]
 
 
 def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
-    """All valid labelings of one shape: labels vary low-to-high, rightmost subtree fastest."""
+    """All valid labelings of one shape: labels vary low-to-high, rightmost subtree fastest.
 
-    def rec(node: LabeledPlaneTree, is_root: bool) -> Iterator[LabeledPlaneTree]:
-        if not node.children:
-            yield LabeledPlaneTree(0)
+    That is lexicographic order of the labels in reading order, where the
+    root's label is its child sum and every other internal node ranges over
+    0..1 + (child sum).  The labels of the internal nodes are stepped like an
+    odometer, and only the internal nodes from the changed one on are built
+    anew.
+    """
+    _, parent, kids = _reading_arrays(shape)
+    n = len(kids) - 1
+    internal = [pos for pos in range(1, n + 1) if kids[pos]]  # the root last
+    label = [0] * (n + 1)
+    child_sum = [0] * (n + 1)
+    built = [LabeledPlaneTree(0)] * (n + 1)  # leaves never change
+    start = 0
+    while True:
+        label[n] = child_sum[n]
+        for pos in internal[start:]:
+            built[pos] = LabeledPlaneTree(label[pos], tuple([built[c] for c in kids[pos]]))
+        yield built[n]
+        for start in range(len(internal) - 2, -1, -1):
+            pos = internal[start]
+            if label[pos] <= child_sum[pos]:
+                label[pos] += 1
+                child_sum[parent[pos]] += 1
+                break
+            child_sum[parent[pos]] -= label[pos]
+            label[pos] = 0
+        else:
             return
-
-        def combos(kids: tuple[LabeledPlaneTree, ...]) -> Iterator[tuple[LabeledPlaneTree, ...]]:
-            if not kids:
-                yield ()
-                return
-            for first in rec(kids[0], False):
-                for rest in combos(kids[1:]):
-                    yield (first,) + rest
-
-        for labeled_kids in combos(node.children):
-            child_sum = sum(k.label for k in labeled_kids)
-            if is_root:
-                yield LabeledPlaneTree(child_sum, labeled_kids)
-            else:
-                for label in range(child_sum + 2):
-                    yield LabeledPlaneTree(label, labeled_kids)
-
-    return rec(shape, True)
 
 
 def generate_all_beta01(n: int, *, ceiling: int = DEFAULT_CEILING) -> Iterator[LabeledPlaneTree]:

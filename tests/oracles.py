@@ -5,7 +5,7 @@ quantifiers, matrix closure) and shares no code path with the package, so a
 bug in the library cannot hide behind the same bug in a test.
 """
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 
@@ -93,3 +93,62 @@ def oracle_catalan(n):
     for m in range(n):
         values.append(sum(values[i] * values[m - i] for i in range(m + 1)))
     return values[n]
+
+
+def oracle_shapes(n):
+    """Every plane tree shape on n nodes as a nested (0, children) tuple.
+
+    A forest is ordered by the size of its first tree, then by that tree, then
+    by the rest of the forest: the order ``generate trees`` prints.
+    """
+    def forests(m):
+        if m == 0:
+            return [()]
+        return [
+            (first,) + rest
+            for size in range(1, m + 1)
+            for first in oracle_shapes(size)
+            for rest in forests(m - size)
+        ]
+
+    return [(0, kids) for kids in forests(n - 1)] if n >= 1 else []
+
+
+def oracle_labelings(shape, is_root=True):
+    """Valid labelings of a nested shape, leftmost child slowest, own label fastest."""
+    kids = shape[1]
+    if not kids:
+        return [(0, ())]
+    out = []
+    for labeled in product(*(oracle_labelings(kid, False) for kid in kids)):
+        child_sum = sum(kid[0] for kid in labeled)
+        for label in [child_sum] if is_root else range(child_sum + 2):
+            out.append((label, labeled))
+    return out
+
+
+def oracle_is_valid_labeling(labels, children):
+    """The labeling conditions quantified node by node; node 0 is the root.
+
+    ``labels[k]`` is the label of node k and ``children[k]`` the list of its
+    children's indices.
+    """
+    for k, kids in enumerate(children):
+        child_sum = sum(labels[c] for c in kids)
+        if k == 0:
+            if labels[k] != child_sum:
+                return False
+        elif not kids:
+            if labels[k] != 0:
+                return False
+        elif labels[k] > 1 + child_sum:
+            return False
+    return True
+
+
+def oracle_tree_text(tree):
+    """The canonical text of a nested (label, children) tuple."""
+    label, kids = tree
+    if not kids:
+        return str(label)
+    return f"{label}({' '.join(oracle_tree_text(kid) for kid in kids)})"

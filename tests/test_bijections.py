@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import permutations
 
@@ -33,7 +34,7 @@ from avoid1342 import (
 )
 
 from avoid1342.bijections import _beat_extents, _contains_1342
-from conftest import perm_strategy
+from conftest import perm_strategy, random_valid_tree
 from oracles import oracle_beats_matrix, oracle_contains, oracle_reaches_matrix
 
 P = Permutation.from_text
@@ -97,6 +98,22 @@ def test_reaches_is_transitive_closure_of_beats(p):
     for i in range(1, n + 1):
         for k in range(1, n + 1):
             assert reaches(p, i, k) == closure[i - 1][k - 1]
+
+
+def test_reaches_on_a_long_avoider():
+    # the last position reached from i is the one _beat_extents reports
+    n = 2000
+    p = F_inverse(random_valid_tree(31, n))
+    _, max_reach = _beat_extents(p.values)
+    rng = random.Random(31)
+    starts = [i for i in range(1, n + 1) if max_reach[i - 1] >= 0]
+    assert len(starts) > 100
+    for i in rng.sample(starts, 12):
+        last = max_reach[i - 1] + 1
+        assert reaches(p, i, last)
+        later = range(last + 1, n + 1)
+        for k in {*rng.sample(later, min(len(later), 25)), *later[:3], *later[-1:]}:
+            assert not reaches(p, i, k), (i, k)
 
 
 # ---------------------------------------------------------------- the path map f
@@ -261,6 +278,16 @@ def test_F_forward_deep_path_agrees_with_f_and_roundtrips():
     tree = F_forward(p)
     assert tree == f_forward(p)
     assert F_inverse(tree) == p
+
+
+def test_F_roundtrip_on_large_bushy_trees():
+    # F_inverse splits a bushy tree into many blocks, each checked against
+    # the run of values it receives
+    for seed in (1, 2):
+        tree = random_valid_tree(seed, 10_000)
+        p = F_inverse(tree)
+        assert is_indecomposable(p)
+        assert F_forward(p) == tree
 
 
 # ---------------------------------------------------------------- forests

@@ -1,4 +1,5 @@
 import sys
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from avoid1342 import (
     subtree_size,
     validate_beta01,
 )
+from oracles import oracle_is_valid_labeling, oracle_labelings, oracle_shapes, oracle_tree_text
 
 #: tree counts on 1..8 nodes, pinned from exhaustive generation and confirmed
 #: by the x^n coefficients of the closed-form series (see test_series)
@@ -219,3 +221,65 @@ def test_deep_path_needs_no_recursion():
     assert classify_shape(back).single_path
     comb = "0(0 " * n + "0" + ")" * n  # a leaf beside every node of a deep path
     assert serialize(parse(comb)) == comb
+
+
+def test_generation_order_matches_the_recursive_oracle():
+    # the order of ``generate trees`` is part of its output bytes
+    for n in range(0, 8):
+        shapes = oracle_shapes(n)
+        assert [serialize(t) for t in iter_shapes(n)] == [oracle_tree_text(s) for s in shapes]
+        expected = [oracle_tree_text(t) for s in shapes for t in oracle_labelings(s)]
+        assert [serialize(t) for t in generate_all_beta01(n)] == expected
+
+
+def test_generators_need_no_recursion():
+    n = 2000
+    assert n > sys.getrecursionlimit()
+    shapes = iter_shapes(n)
+    leaf = LabeledPlaneTree(0)
+    assert next(shapes) == LabeledPlaneTree(0, (leaf,) * (n - 1))
+    assert next(shapes) == LabeledPlaneTree(0, (leaf,) * (n - 3) + (LabeledPlaneTree(0, (leaf,)),))
+    labelings = iter_valid_labelings(path_shape(n))
+    assert next(labelings) == path_shape(n)
+    second = next(labelings)
+    assert [node.label for node in postorder_positions(second)] == [0] * (n - 2) + [1, 1]
+
+
+def _preorder_children(shape):
+    """Children by pre-order index of a nested shape; the root is index 0."""
+    children = []
+    stack = [(shape, None)]
+    while stack:
+        (_, kids), parent = stack.pop()
+        if parent is not None:
+            children[parent].append(len(children))
+        parent = len(children)
+        children.append([])
+        stack.extend((kid, parent) for kid in reversed(kids))
+    return children
+
+
+def _labels(tree):
+    return [node.label for node in postorder_positions(tree)]
+
+
+def test_validate_matches_the_oracle_on_every_small_labeling():
+    # labels 0..3 on every shape of at most 6 nodes, most of them invalid; the
+    # accepted trees are exactly the generated ones with labels up to 3, which
+    # is all of them up to 5 nodes (a 6-node path needs a label 4)
+    for n in range(1, 7):
+        accepted = set()
+        for shape in oracle_shapes(n):
+            children = _preorder_children(shape)
+            for labels in product(range(4), repeat=n):
+                built = [None] * n
+                for k in range(n - 1, -1, -1):
+                    built[k] = LabeledPlaneTree(labels[k], tuple([built[c] for c in children[k]]))
+                valid = validate_beta01(built[0])
+                assert valid == oracle_is_valid_labeling(labels, children), (labels, children)
+                if valid:
+                    accepted.add(built[0])
+        generated = set(generate_all_beta01(n))
+        assert accepted == {t for t in generated if max(_labels(t)) <= 3}
+        if n <= 5:
+            assert len(accepted) == TREE_COUNTS[n - 1]
