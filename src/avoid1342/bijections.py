@@ -22,6 +22,12 @@ computes the labels in one loop, checks validity on the arrays and builds each
 node once.  ``F_inverse`` walks its tree once into the same arrays, and the
 validity check, the shape's values and the minima are all read off them.
 
+Both directions of ``f`` rest on ``perms._normalize_values``, the 132 fill of
+a run of minima.  A path labeling gives the suffix minima of p, and with
+p_1 = 1 the rest of p avoids 231, so its reverse is the fill of those minima:
+``f_inverse`` is one walk and one fill, and ``f_forward`` tests for 1342 by
+checking that the reversed rest of p equals its own fill.  Both are O(n).
+
 Everything here is pure; exhaustive verification over permutation or tree
 ranges can be partitioned freely across workers.
 """
@@ -38,15 +44,7 @@ from .perms import (
     decompose,
     is_indecomposable,
 )
-from .trees import (
-    LabeledPlaneTree,
-    _from_arrays,
-    _labels_valid,
-    _reading_arrays,
-    classify_shape,
-    postorder_positions,
-    validate_beta01,
-)
+from .trees import LabeledPlaneTree, _from_arrays, _labels_valid, _reading_arrays
 
 # ---------------------------------------------------------------------------
 # beats / reaches
@@ -145,9 +143,11 @@ def reaches(p: Permutation, i: int, k: int) -> bool:
 def f_forward(p: Permutation) -> LabeledPlaneTree:
     """Map a 1342-avoider starting with 1 to a labeling of the single-path shape.
 
-    Counting from the leaf, node i gets the number of entries at positions
-    <= i that exceed at least one later entry; the root repeats the label
-    below it.
+    Counting from the leaf, node j < n gets j + 1 - min(p_{j+1..n}), the
+    number of entries at positions <= j that exceed a later entry; the root
+    repeats the label below it.  With p_1 = 1, p avoids 1342 exactly when
+    p_2..p_n avoids 231, that is when its reverse, shifted down by 1, avoids
+    132 and so equals the 132 fill of its own running minima.
 
     >>> str(f_forward(Permutation.from_text("14325")))
     '0(0(2(1(0))))'
@@ -158,7 +158,8 @@ def f_forward(p: Permutation) -> LabeledPlaneTree:
     if p.values[0] != 1:
         raise DomainError("the single-path map requires first entry 1")
     vals = p.values
-    if _contains_1342(vals, _beat_extents(vals)[0]):
+    mirror = [v - 1 for v in reversed(vals[1:])]
+    if _normalize_values(mirror) != mirror:
         raise DomainError("permutation contains 1342")
     # every value below the minimum m of vals[i:] lies in vals[:i], so i - (m - 1)
     # entries of vals[:i] exceed m
@@ -178,34 +179,23 @@ def f_forward(p: Permutation) -> LabeledPlaneTree:
 def f_inverse(tree: LabeledPlaneTree) -> Permutation:
     """Invert ``f_forward`` on a single-path valid tree.
 
-    The largest remaining value sits where the run of strictly positive labels
-    ending at the last node starts (at the last node itself when its label is
-    0).  Delete that node, decrement the labels after it, restore the root
-    condition if the last node went away, and repeat.
+    The labels give the suffix minima min(p_{j+1..n}) = j + 1 - label, and
+    p_2..p_n avoids 231, so its reverse is the 132 fill of those minima read
+    root first.  One walk of the tree, one fill.
+
+    >>> from avoid1342.trees import parse
+    >>> str(f_inverse(parse("0(0(2(1(0))))")))
+    '14325'
     """
-    if not classify_shape(tree).single_path:
+    label, _, kids = _reading_arrays(tree)
+    if any(len(child_positions) > 1 for child_positions in kids):
         raise DomainError("tree is not a single path")
-    if not validate_beta01(tree):
+    if not _labels_valid(label, kids):
         raise DomainError("invalid labeled tree")
-    labels = [node.label for node in postorder_positions(tree)]  # leaf -> root
-    n = len(labels)
-    work = [(label, pos) for pos, label in enumerate(labels, start=1)]
-    out = [0] * n
-    for value in range(n, 0, -1):
-        if work[-1][0] > 0:
-            i = len(work) - 1
-            while i > 0 and work[i - 1][0] > 0:
-                i -= 1
-        else:
-            i = len(work) - 1
-        out[work[i][1] - 1] = value
-        deleted_last = i == len(work) - 1
-        work = work[:i] + [(label - 1, pos) for label, pos in work[i + 1:]]
-        if deleted_last and len(work) >= 2:
-            work[-1] = (work[-2][0], work[-1][1])
-        elif deleted_last and len(work) == 1:
-            work[-1] = (0, work[-1][1])
-    return Permutation(tuple(out))
+    n = len(label) - 1
+    # min(p_{j+1..n}) - 1 = j - label[j], read root first
+    rest = _normalize_values([j - label[j] for j in range(n - 1, 0, -1)])
+    return Permutation((1, *[v + 1 for v in reversed(rest)]))
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.n < 0:
+        raise DomainError("--n must be nonnegative")
     if args.kind == "trees":
         stream = trees.generate_all_beta01(args.n, ceiling=args.max_brute_n)
         if args.count_only:
@@ -221,6 +223,8 @@ def _verify_series() -> list[str]:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_n < 0:
+        raise DomainError("--max-n must be nonnegative")
     if args.expect_failure and args.suite not in ("sequences", "all"):
         raise DomainError("--expect-failure applies to the sequences suite")
     failures: list[str] = []

@@ -27,7 +27,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, IntegralityError, exact_quotient
 from .perms import DEFAULT_CEILING, Permutation, count_avoiders
@@ -125,11 +124,6 @@ def s1342_convolution(up_to: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=8)
-def _convolution_cached(up_to: int) -> tuple[int, ...]:
-    return tuple(s1342_convolution(up_to))
-
-
 def s1234_closed(n: int) -> int:
     """Number of 1234-avoiding n-permutations.
 
@@ -172,13 +166,15 @@ def s1234_recurrence(up_to: int) -> list[int]:
 def nth_root_estimate(n: int) -> float:
     """Float approximation of s1342(n)^(1/n), good to at least 10 significant digits.
 
-    Computed in the log domain from the exact convolution value, so the only
-    error is the final float rounding.
+    Computed in the log domain from the exact value ``s1342_closed(n)``, so
+    the only error is the final float rounding.
+
+    >>> round(nth_root_estimate(6), 10)  # 512 ** (1/6) = 2 ** 1.5
+    2.8284271247
     """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    s = _convolution_cached(n)[n]
-    return math.exp(math.log(s) / n)
+    return math.exp(math.log(s1342_closed(n)) / n)
 
 
 # ---------------------------------------------------------------------------

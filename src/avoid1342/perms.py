@@ -57,18 +57,18 @@ class Permutation:
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
-        """Parse either the digit form ("361542") or the comma form ("3,6,1,5,4,2")."""
+        """Parse either the digit form ("361542") or the comma form ("3,6,1,5,4,2").
+
+        Past the outer whitespace only ASCII digits are read: each comma part
+        is a nonempty run of them, so "1, 2" and "1,+2" are refused.
+        """
         text = text.strip()
         if not text:
             return cls(())
-        try:
-            if "," in text:
-                vals = tuple(int(part) for part in text.split(","))
-            else:
-                vals = tuple(int(ch) for ch in text)
-        except ValueError as exc:
-            raise InvalidPermutationError(f"unreadable permutation text: {text!r}") from exc
-        return cls(vals)
+        parts = text.split(",") if "," in text else list(text)
+        if not all(part.isascii() and part.isdigit() for part in parts):  # not all that int() reads
+            raise InvalidPermutationError(f"unreadable permutation text: {text!r}")
+        return cls(tuple(int(part) for part in parts))
 
     def __str__(self) -> str:
         if len(self.values) <= 9:
@@ -287,28 +287,22 @@ def normalize(p: Permutation) -> Permutation:
 
 
 def _normalize_values(vals: Sequence[int]) -> list[int]:
-    """``normalize`` on the values of a permutation of 1..n.
+    """The 132-avoiding permutation of 1..n with the running minima of ``vals``.
 
-    The minima decrease, so each new minimum makes only values below all
-    earlier candidates eligible.  The unplaced eligible non-minima therefore
-    form a stack with the smallest on top, filled from n downwards.
+    ``vals`` is any length-n sequence whose running minima are those of some
+    permutation of 1..n, such as that permutation itself; only the running
+    minimum is read, so sequences with the same running minima give the same
+    output.  Each new minimum v makes the values between v and the previous
+    minimum eligible, all below the earlier ones, so the unplaced eligible
+    values form a stack with the smallest on top, and every other slot pops it.
     """
-    n = len(vals)
-    is_minimum = [False] * (n + 1)
-    current = n + 1
-    for v in vals:
-        if v < current:
-            current = v
-            is_minimum[v] = True
     out: list[int] = []
     eligible: list[int] = []
-    below = n  # every non-minimum above this value is on the stack or placed
+    low = len(vals) + 1  # the running minimum
     for v in vals:
-        if is_minimum[v]:
-            while below > v:
-                if not is_minimum[below]:
-                    eligible.append(below)
-                below -= 1
+        if v < low:
+            eligible.extend(range(low - 1, v, -1))
+            low = v
             out.append(v)
         else:
             out.append(eligible.pop())

@@ -33,14 +33,12 @@ can consume shapes in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Iterator
 
 from .errors import InvalidTreeError, ResourceLimitError, TreeParseError
 
 #: Largest n accepted by the exhaustive tree generator unless the caller raises it.
 DEFAULT_CEILING = 12
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -90,17 +88,6 @@ def postorder_positions(tree: LabeledPlaneTree) -> list[LabeledPlaneTree]:
         stack.extend(node.children)
     out.reverse()
     return out
-
-
-def _fold(tree: LabeledPlaneTree, combine: Callable[[LabeledPlaneTree, list[_T]], _T]) -> _T:
-    """Bottom-up fold: ``combine(node, results of its children)`` in reading order."""
-    done: list[_T] = []
-    for node in postorder_positions(tree):
-        first = len(done) - len(node.children)
-        kids = done[first:]
-        del done[first:]
-        done.append(combine(node, kids))
-    return done[0]
 
 
 def _reading_arrays(tree: LabeledPlaneTree) -> tuple[list[int], list[int], list[list[int]]]:
@@ -164,11 +151,15 @@ def validate_beta01(tree: LabeledPlaneTree) -> bool:
 
 def serialize(tree: LabeledPlaneTree) -> str:
     """Canonical text form; ``parse`` inverts it exactly."""
-
-    def text(node: LabeledPlaneTree, kids: list[str]) -> str:
-        return f"{node.label}({' '.join(kids)})" if kids else str(node.label)
-
-    return _fold(tree, text)
+    done: list[str] = []  # texts of finished subtrees still waiting for their parent
+    for node in postorder_positions(tree):
+        text = str(node.label)
+        if node.children:
+            first = len(done) - len(node.children)
+            text += f"({' '.join(done[first:])})"
+            del done[first:]
+        done.append(text)
+    return done[0]
 
 
 def parse(text: str) -> LabeledPlaneTree:
@@ -222,7 +213,8 @@ def parse(text: str) -> LabeledPlaneTree:
 
 def normalize_tree(tree: LabeledPlaneTree) -> LabeledPlaneTree:
     """Same shape, every label zero."""
-    return _fold(tree, lambda node, kids: LabeledPlaneTree(0, tuple(kids)))
+    _, _, kids = _reading_arrays(tree)
+    return _from_arrays([0] * len(kids), kids)
 
 
 @dataclass(frozen=True)

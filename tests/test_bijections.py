@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from itertools import permutations
 
 import pytest
@@ -11,6 +12,7 @@ from avoid1342 import (
     F_inverse,
     Permutation,
     beats,
+    catalan,
     classify_shape,
     contains,
     decompose,
@@ -146,7 +148,7 @@ def test_f_inverse_rejects_bad_trees():
 
 
 def test_f_roundtrip_exhaustive():
-    for n in range(1, 8):
+    for n in range(1, 11):
         for p in iter_avoiders(n, P1342, "first_entry_is_1"):
             tree = f_forward(p)
             flags = classify_shape(tree)
@@ -155,11 +157,33 @@ def test_f_roundtrip_exhaustive():
 
 
 def test_f_inverse_covers_all_path_labelings():
-    for n in range(1, 8):
+    for n in range(1, 11):
         for tree in iter_valid_labelings(path_shape(n)):
             p = f_inverse(tree)
             assert p.values[0] == 1
             assert serialize(f_forward(p)) == serialize(tree)
+
+
+def test_f_inverse_images_are_distinct_1342_avoiders_starting_with_1():
+    # checked by the subset-scan oracle, which shares nothing with the 132 fill
+    for n in range(1, 11):
+        images = set()
+        for tree in iter_valid_labelings(path_shape(n)):
+            vals = f_inverse(tree).values
+            assert vals[0] == 1
+            assert not oracle_contains(vals, P1342.values), vals
+            images.add(vals)
+        assert len(images) == catalan(n - 1)
+
+
+def test_f_roundtrip_on_a_long_path_is_linear():
+    n = 4000
+    p = Permutation((1,) + tuple(range(n, 1, -1)))
+    start = time.perf_counter()
+    back = f_inverse(f_forward(p))
+    elapsed = time.perf_counter() - start
+    assert back == p
+    assert elapsed < 0.5, elapsed
 
 
 # ---------------------------------------------------------------- the shape map

@@ -204,6 +204,18 @@ def test_map_rejects_non_ascii_digit(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("map", "perm-to-tree", "\u0663\u0666\u0661\u0665\u0664\u0662"),
+    ("count", "--pattern", "\u0661\u0663\u0664\u0662", "--n", "4", "--method", "brute",
+     "--workers", "1"),
+    ("normalize", "\uff112"),
+])
+def test_permutation_text_rejects_non_ascii_digits(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_map_deep_zero_path_tree(capsys):
     n = 1100
     assert n > sys.getrecursionlimit()
@@ -271,7 +283,21 @@ def test_generate_ceiling(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind", [("trees",), ("avoiders", "--pattern", "1342")])
+def test_generate_refuses_negative_n(capsys, kind):
+    code, out, err = run(capsys, "generate", *kind, "--n", "-1", "--workers", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------- verify
+
+@pytest.mark.parametrize("suite", ["bijection", "sequences", "series", "all"])
+def test_verify_refuses_negative_max_n(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "-2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_verify_bijection(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "bijection", "--max-n", "7")

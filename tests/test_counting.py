@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -145,6 +146,11 @@ def test_nth_root_estimate():
     assert nth_root_estimate(60) > nth_root_estimate(20)
     with pytest.raises(DomainError):
         nth_root_estimate(0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 60, 300])
+def test_nth_root_estimate_matches_the_convolution_value(n):
+    assert nth_root_estimate(n) == math.exp(math.log(s1342_convolution(n)[n]) / n)
 
 
 def test_cross_check_consistent():

@@ -70,6 +70,20 @@ def test_text_rejects_garbage():
         P("1,2,x")
 
 
+@pytest.mark.parametrize("text", [
+    "\u0663\u0661\u0662",                      # Arabic-Indic digits
+    "\uff112",                                  # a fullwidth 1
+    "1,+2",
+    "1_0," + ",".join(str(v) for v in range(1, 10)),
+    "1, 2",
+    "1,,2",
+    ",1",
+])
+def test_text_accepts_only_ascii_digits(text):
+    with pytest.raises(InvalidPermutationError):
+        P(text)
+
+
 # ---------------------------------------------------------------- containment
 
 def test_contains_examples():
