@@ -20,7 +20,10 @@ parents, child lists) from start to finish.  ``F_forward`` takes the child
 lists of N(p) from one next-larger-to-the-right pass, checks them exactly,
 computes the labels in one loop, checks validity on the arrays and builds each
 node once.  ``F_inverse`` walks its tree once into the same arrays, and the
-validity check, the shape's values and the minima are all read off them.
+validity check, the shape's values and the minima are all read off them.  A
+block of its greedy is a list of positions with its top last and the largest
+of its run of values, and each value finds its node by one descent from the
+top.
 
 Both directions of ``f`` rest on ``perms._normalize_values``, the 132 fill of
 a run of minima.  A path labeling gives the suffix minima of p, and with
@@ -331,8 +334,11 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
     Nodes are reading positions.  One walk of the tree gives its labels,
     parents and child lists; validity, the shape's values and the minima are
     read off those arrays.  Deleting a node or cutting off a block keeps the
-    reading order of what is left, so every subtree is carried along as the
-    sorted list of its positions and is never walked again.
+    reading order of what is left, so a block is the sorted list of its
+    positions, with its top last, and the largest of its values.  The leftmost
+    node of the rule is found by one descent from the top, each step taking
+    the first child with a positive label, and the labels drop along the same
+    path.
 
     >>> from avoid1342.trees import parse
     >>> str(F_inverse(parse("3(3(1(0) 1(0)))")))
@@ -346,100 +352,92 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
     # value placed at each position, 0 while unplaced; a placed node leaves the
     # tree, so among the nodes still in it only the minima carry a value
     out = [0] * (n + 1)
+    is_minimum = [False] * (n + 1)  # by value
     low = n + 1
     for pos, v in enumerate(_shape_to_vals(kids), start=1):
         if (v < low) == bool(kids[pos]):
             raise ReconstructionError("leaves do not line up with the left-to-right minima")
         if v < low:
             low = out[pos] = v
+            is_minimum[v] = True
 
-    # each item: the top of a subtree, its positions in reading order, and the
-    # values (descending, minima included) to place on it
-    work = [(n, list(range(1, n + 1)), list(range(n, 0, -1)))]
+    # each item: the positions of a subtree in reading order, its top last, and
+    # the largest of the consecutive values to place on them
+    work = [(list(range(1, n + 1)), n)]
     while work:
-        top, nodes, values = work.pop()
+        nodes, largest = work.pop()
         while True:
-            if len(nodes) != len(values):
-                raise ReconstructionError("node/value count mismatch")
+            top = nodes[-1]
             if len(nodes) == 1:
-                if out[top] and out[top] != values[0]:
+                if out[top] and out[top] != largest:
                     raise ReconstructionError("pre-assigned minimum clashes with its block")
-                out[top] = values[0]
+                out[top] = largest
                 break
-
-            largest = values[0]
-            if any(out[pos] == largest for pos in nodes):
+            if is_minimum[largest]:
                 raise ReconstructionError("largest remaining value is a minimum")
 
-            candidate = 0
-            for pos in nodes:
-                if pos == top or label[pos] <= 0:
-                    continue
-                ancestor = parent[pos]
-                while ancestor != top and label[ancestor] > 0:
-                    ancestor = parent[ancestor]
-                if ancestor == top:
-                    candidate = pos
+            # the leftmost node with positive labels up to the top: descend from
+            # the top, each step taking the first child with a positive label
+            path = [top]
+            while True:
+                for c in kids[path[-1]]:
+                    if label[c] > 0:
+                        path.append(c)
+                        break
+                else:
                     break
-
-            values = values[1:]
-            if candidate:
-                out[candidate] = largest
-                up = parent[candidate]
-                index = kids[up].index(candidate)
+            candidate = path[-1]
+            out[candidate] = largest
+            largest -= 1
+            if candidate != top:
+                up = path[-2]
+                for ancestor in path[1:-1]:
+                    label[ancestor] -= 1
                 for c in kids[candidate]:
                     parent[c] = up
+                index = kids[up].index(candidate)
                 kids[up][index: index + 1] = kids[candidate]
-                while up != top:
-                    label[up] -= 1
-                    up = parent[up]
-                forest = [top]
-                nodes = [pos for pos in nodes if pos != candidate]
+                nodes.remove(candidate)
             else:
                 # no positive path: the largest value sits at the current root
-                out[top] = largest
-                forest = kids[top]
-                for c in forest:
+                for c in kids[top]:
                     parent[c] = 0
-                if not forest:
-                    break
-                nodes = nodes[:-1]
+                nodes.pop()
 
             # Split the leftover content wherever the class forces a cut: a cut
-            # after position c is valid iff the running minimum there equals the
-            # c-th largest remaining value, and the minima are already placed.
-            blocks: list[tuple[int, int]] = []
-            start = 0
-            running_min: int | None = None
-            for c, pos in enumerate(nodes, start=1):
-                if out[pos] and (running_min is None or out[pos] < running_min):
-                    running_min = out[pos]
-                if running_min is None:
-                    raise ReconstructionError("reading order does not start at a leaf")
-                if running_min == values[c - 1]:
-                    blocks.append((start, c))
-                    start = c
-            if start != len(nodes):
+            # after the c-th node is valid iff the running minimum there equals
+            # the c-th largest remaining value, largest + 1 - c.  The minima are
+            # placed and fall along the reading order, so the running minimum
+            # only moves at a minimum, and at most one cut fits before the next.
+            if not out[nodes[0]]:
+                raise ReconstructionError("reading order does not start at a leaf")
+            at_minima = [c for c, pos in enumerate(nodes, start=1) if out[pos]]
+            cuts = []
+            for c, next_c in zip(at_minima, at_minima[1:] + [len(nodes) + 1]):
+                cut = largest + 1 - out[nodes[c - 1]]
+                if c <= cut < next_c:
+                    cuts.append(cut)
+            if cuts[-1:] != [len(nodes)]:
                 raise ReconstructionError("cut decomposition did not cover the content")
 
-            if len(blocks) == 1 and len(forest) == 1:
-                top = forest[0]
+            if len(cuts) == 1 and (candidate != top or len(kids[top]) == 1):
                 continue
 
-            for a, b in blocks:
-                block = nodes[a:b]
-                block_set = set(block)
-                tops = [pos for pos in block if parent[pos] not in block_set]
-                if len(tops) != 1:
-                    raise ReconstructionError(f"block with {len(tops)} components")
-                if parent[tops[0]]:
-                    kids[parent[tops[0]]].remove(tops[0])
-                    parent[tops[0]] = 0
-                chunk = values[a:b]  # a run of consecutive values, like ``values``
-                low, high = chunk[-1], chunk[0]
+            start = 0
+            for end in cuts:
+                block = nodes[start:end]
+                high, low, block_top = largest - start, largest + 1 - end, block[-1]
+                # parents follow their children, so a parent in the block is at most its top
+                tops = sum([not 0 < parent[pos] <= block_top for pos in block])
+                if tops != 1:
+                    raise ReconstructionError(f"block with {tops} components")
+                if parent[block_top]:
+                    kids[parent[block_top]].remove(block_top)
+                    parent[block_top] = 0
                 if any(out[pos] and not low <= out[pos] <= high for pos in block):
                     raise ReconstructionError("minimum fell outside its value block")
-                work.append((tops[0], block, chunk))
+                work.append((block, high))
+                start = end
             break
 
     return Permutation(tuple(out[1:]))

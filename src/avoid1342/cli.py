@@ -68,7 +68,7 @@ def _brute_count(pattern: perms.Permutation, n: int, selection, ceiling: int, wo
     # independent of scheduling
     if workers > 1 and n >= 7:
         jobs = [(n, pattern.values, selection, first, ceiling) for first in range(1, n + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
             return sum(pool.map(_brute_count_job, jobs))
     return perms.count_avoiders(n, pattern, selection, ceiling=ceiling)
 
@@ -223,8 +223,8 @@ def _verify_series() -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_n < 0:
-        raise DomainError("--max-n must be nonnegative")
+    if args.max_n < 1:
+        raise DomainError("--max-n must be at least 1")
     if args.expect_failure and args.suite not in ("sequences", "all"):
         raise DomainError("--expect-failure applies to the sequences suite")
     failures: list[str] = []

@@ -264,10 +264,10 @@ def decompose(p: Permutation) -> list[Permutation]:
 
 def compose_blocks(blocks: Sequence[Permutation]) -> Permutation:
     """Concatenate blocks with descending value offsets (inverse of ``decompose``)."""
-    sizes = [len(b) for b in blocks]
     out: list[int] = []
-    for i, b in enumerate(blocks):
-        offset = sum(sizes[i + 1:])
+    offset = sum(len(b) for b in blocks)
+    for b in blocks:
+        offset -= len(b)  # the total size of the blocks to the right
         out.extend(v + offset for v in b.values)
     return Permutation(tuple(out))
 

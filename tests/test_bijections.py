@@ -36,7 +36,7 @@ from avoid1342 import (
 )
 
 from avoid1342.bijections import _beat_extents, _contains_1342
-from conftest import perm_strategy, random_valid_tree
+from conftest import perm_strategy, random_caterpillar_tree, random_valid_tree
 from oracles import oracle_beats_matrix, oracle_contains, oracle_reaches_matrix
 
 P = Permutation.from_text
@@ -249,7 +249,7 @@ def test_F_inverse_rejects_invalid_tree():
 
 
 def test_F_bijection_exhaustive():
-    for n in range(1, 8):
+    for n in range(1, 9):
         image = set()
         for p in indecomposable_avoiders(n):
             tree = F_forward(p)
@@ -309,6 +309,27 @@ def test_F_roundtrip_on_large_bushy_trees():
     # the run of values it receives
     for seed in (1, 2):
         tree = random_valid_tree(seed, 10_000)
+        p = F_inverse(tree)
+        assert is_indecomposable(p)
+        assert F_forward(p) == tree
+
+
+def test_F_inverse_on_long_paths_agrees_with_f_in_bounded_time():
+    # f_inverse is the independent O(n) fill, an oracle for deep trees; the
+    # descent to each candidate keeps F_inverse well under the bound here
+    for seed in (1, 2):
+        tree = random_valid_tree(seed, 5000, bushy=False)
+        start = time.perf_counter()
+        p = F_inverse(tree)
+        elapsed = time.perf_counter() - start
+        assert p == f_inverse(tree)
+        assert elapsed < 3.0, f"F_inverse took {elapsed:.2f} s on a 5000-node path"
+
+
+def test_F_roundtrip_on_caterpillars():
+    # deep trees that split into many blocks
+    for seed in (1, 2, 3):
+        tree = random_caterpillar_tree(seed, 2001)
         p = F_inverse(tree)
         assert is_indecomposable(p)
         assert F_forward(p) == tree

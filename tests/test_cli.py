@@ -36,6 +36,31 @@ def test_count_brute_symmetry_class(capsys):
     assert (code, out) == (0, "103\n")
 
 
+def test_brute_count_caps_the_pool_at_the_number_of_jobs(capsys, monkeypatch):
+    # a stand-in pool that records its size and maps in this process, so no
+    # process is started whatever --workers asks for
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, out, _ = run(capsys, "count", "--pattern", "1342", "--n", "7", "--method", "brute",
+                       "--workers", "5000")
+    assert (code, out) == (0, "2740\n")
+    assert sizes == [7]
+
+
 def test_count_closed_1234(capsys):
     code, out, _ = run(capsys, "count", "--pattern", "1234", "--n", "7", "--method", "closed")
     assert (code, out) == (0, "2761\n")
@@ -294,9 +319,11 @@ def test_generate_refuses_negative_n(capsys, kind):
 
 @pytest.mark.parametrize("suite", ["bijection", "sequences", "series", "all"])
 def test_verify_refuses_negative_max_n(capsys, suite):
-    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "-2")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    # 0 is refused too: it would check nothing and print OK
+    for max_n in ("-2", "0"):
+        code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_bijection(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import permutations as iter_permutations
 from math import factorial
 
@@ -214,6 +215,15 @@ def test_decompose_blocks_reassemble(p):
     blocks = decompose(p)
     assert all(is_indecomposable(b) for b in blocks)
     assert compose_blocks(blocks) == p
+
+
+def test_compose_blocks_is_linear_in_the_number_of_blocks():
+    blocks = [Permutation((1,))] * 20_000
+    start = time.perf_counter()
+    p = compose_blocks(blocks)
+    elapsed = time.perf_counter() - start
+    assert p == Permutation(tuple(range(20_000, 0, -1)))
+    assert elapsed < 0.5, f"composing 20 000 blocks took {elapsed:.2f} s"
 
 
 # ---------------------------------------------------------------- normalization
