@@ -42,8 +42,8 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 #: Largest n that ``--method series`` and ``--method convolution`` accept.  Both
-#: are quadratic in big integers: at n = 2500 each takes about 30 s on a 2-core
-#: 2 GHz machine (at 3000, 60-70 s).
+#: are quadratic in big integers: at n = 2500 on a 2-core 2 GHz machine the
+#: series takes about 25-35 s and the convolution about 20-25 s.
 QUADRATIC_CEILING = 2500
 
 _CLOSED_FORMS = {

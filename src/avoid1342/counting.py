@@ -4,20 +4,22 @@ Sequences handled here, all as exact arbitrary-precision integers:
 
 * ``catalan(n)``        -- C(2n, n)/(n+1);
 * ``t_closed(n)``       -- 3·2^(n-1)·(2n)!/((n+2)!·n!), the number of valid
-  labeled trees on n+1 nodes; ``t_recurrence`` evaluates the equivalent
-  recurrence t(n) = (8n-4)·t(n-1)/(n+2) with exactness asserted at every step;
+  labeled trees on n+1 nodes, evaluated as 3·2^(n-1)·C(2n, n)/((n+1)(n+2));
+  ``t_recurrence`` evaluates the equivalent recurrence
+  t(n) = (8n-4)·t(n-1)/(n+2) with exactness asserted at every step;
 * ``indecomposable_count(n)`` -- indecomposable 1342-avoiders of length n,
   which is 1 for n = 1 and t_closed(n-1) afterwards;
 * ``s1342_closed(n)``   -- all 1342-avoiders of length n, by the alternating
   closed form; ``s1342_convolution`` builds the same numbers from the
-  indecomposable counts via s(n) = sum_i I(i)·s(n-i);
+  indecomposable counts via s(n) = sum_i I(i)·s(n-i), multiplying only the
+  odd part of each I(i) and shifting its power of two back in;
 * ``s1234_closed(n)``   -- all 1234-avoiders of length n; ``s1234_recurrence``
   builds the same numbers from their P-recurrence.
 
 Closed forms are evaluated on integers: every division is a checked exact
 division (``IntegralityError`` on a remainder), so any transcription slip
-fails loudly instead of rounding.  Only ``s1234_closed``, whose terms are not
-integers, sums exact rationals and asserts the total integral.
+fails loudly instead of rounding.  ``s1234_closed``, whose terms are not
+integers, sums them over one common denominator and divides once at the end.
 ``cross_check`` runs every available method pair over a shared range (brute
 force included up to its own bound) and reports disagreements as data.
 """
@@ -26,18 +28,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import DomainError, IntegralityError, exact_quotient
+from .errors import DomainError, exact_quotient
 from .perms import DEFAULT_CEILING, Permutation, count_avoiders
 from .series import F_series, H_series_division, H_series_rational
 from .trees import generate_all_beta01
-
-
-def _as_integer(value: Fraction, context: str) -> int:
-    if value.denominator != 1:
-        raise IntegralityError(f"{context} evaluated to the non-integer {value}")
-    return value.numerator
 
 
 def catalan(n: int) -> int:
@@ -55,8 +50,7 @@ def t_closed(n: int) -> int:
     """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    return exact_quotient(3 * 2 ** (n - 1) * math.factorial(2 * n),
-                          math.factorial(n + 2) * math.factorial(n), f"t({n})")
+    return exact_quotient((3 * math.comb(2 * n, n)) << (n - 1), (n + 1) * (n + 2), f"t({n})")
 
 
 _t_cache = [None, 1]  # _t_cache[n] = t(n)
@@ -114,13 +108,26 @@ def s1342_closed(n: int) -> int:
 
 
 def s1342_convolution(up_to: int) -> list[int]:
-    """Values s(0..up_to) built from s(n) = sum_{i=1..n} I(i)·s(n-i), s(0) = 1."""
+    """Values s(0..up_to) built from s(n) = sum_{i=1..n} I(i)·s(n-i), s(0) = 1.
+
+    Each I(i) is split once into odd(i) << shift(i), its odd part and its
+    count of trailing zero bits (I(i) = t(i-1) carries a factor 2^(i-2)), so
+    every product multiplies the odd part only and shifts the rest back in.
+
+    >>> s1342_convolution(6)
+    [1, 1, 2, 6, 23, 103, 512]
+    """
     if up_to < 0:
         raise DomainError(f"up_to must be nonnegative, got {up_to}")
-    blocks = [0] + [indecomposable_count(i) for i in range(1, up_to + 1)]
+    odd, shift = [0], [0]
+    for i in range(1, up_to + 1):
+        block = indecomposable_count(i)
+        zeros = (block & -block).bit_length() - 1
+        odd.append(block >> zeros)
+        shift.append(zeros)
     out = [1]
     for n in range(1, up_to + 1):
-        out.append(sum(blocks[i] * out[n - i] for i in range(1, n + 1)))
+        out.append(sum((odd[i] * out[n - i]) << shift[i] for i in range(1, n + 1)))
     return out
 
 
@@ -129,19 +136,23 @@ def s1234_closed(n: int) -> int:
 
     2 · sum_{i=0..n} C(2i, i) · C(n, i)^2
           · (3i^2 + 2i + 1 - n - 2in) / ((i+1)^2 (i+2) (n-i+1));
-    rational intermediates, result asserted integral.  First values:
-    1, 2, 6, 23, 103, 513, 2761, 15767.
+    C(2i, i) and C(n, i) go from one term to the next by their small-integer
+    ratios, one checked division each; the terms are summed over the lcm of
+    their denominators, and the one division at the end is checked exact.
+    First values: 1, 2, 6, 23, 103, 513, 2761, 15767.
     """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    total = Fraction(0)
-    for i in range(n + 1):
-        total += Fraction(
-            math.comb(2 * i, i) * math.comb(n, i) ** 2
-            * (3 * i * i + 2 * i + 1 - n - 2 * i * n),
-            (i + 1) ** 2 * (i + 2) * (n - i + 1),
-        )
-    return _as_integer(2 * total, f"s1234({n})")
+    denominators = [(i + 1) ** 2 * (i + 2) * (n - i + 1) for i in range(n + 1)]
+    common = math.lcm(*denominators)
+    total, central, binomial = 0, 1, 1  # C(2i, i) and C(n, i) at i = 0
+    step = f"s1234({n}) binomial step"
+    for i, d in enumerate(denominators):
+        total += (central * binomial ** 2
+                  * (3 * i * i + 2 * i + 1 - n - 2 * i * n) * (common // d))
+        central = exact_quotient(2 * (2 * i + 1) * central, i + 1, step)
+        binomial = exact_quotient((n - i) * binomial, i + 1, step)
+    return exact_quotient(2 * total, common, f"s1234({n})")
 
 
 def s1234_recurrence(up_to: int) -> list[int]:
@@ -189,10 +200,21 @@ class SequenceReport:
     entries: list[tuple[int, int, str]] = field(default_factory=list)
     discrepancies: list[tuple[int, str, str]] = field(default_factory=list)
 
+    # n -> positions in ``entries`` of the entries for that n, in order
+    _by_n: dict[int, list[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for position, (n, _, _) in enumerate(self.entries):
+            self._by_n.setdefault(n, []).append(position)
+
     def add(self, n: int, value: int, method: str) -> None:
-        for other_n, other_value, other_method in self.entries:
-            if other_n == n and other_value != value:
+        same_n = self._by_n.setdefault(n, [])
+        for position in same_n:
+            _, other_value, other_method = self.entries[position]
+            if other_value != value:
                 self.discrepancies.append((n, other_method, method))
+        same_n.append(len(self.entries))
         self.entries.append((n, value, method))
 
     @property

@@ -87,6 +87,14 @@ def oracle_s1342_closed_form(n):
     return total
 
 
+def oracle_t_closed(n):
+    """t(n) = 3·2^(n-1)·(2n)!/((n+2)!·n!) from three factorials and one division."""
+    numerator = 3 * 2 ** (n - 1) * factorial(2 * n)
+    denominator = factorial(n + 2) * factorial(n)
+    assert numerator % denominator == 0
+    return numerator // denominator
+
+
 def oracle_catalan(n):
     """Catalan numbers by the additive recurrence."""
     values = [1]

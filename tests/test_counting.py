@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -7,6 +8,7 @@ from avoid1342 import (
     DomainError,
     F_series,
     Permutation,
+    SequenceReport,
     catalan,
     count_avoiders,
     cross_check,
@@ -23,7 +25,7 @@ from avoid1342 import (
 
 from avoid1342 import counting
 
-from oracles import oracle_catalan, oracle_s1342_closed_form
+from oracles import oracle_catalan, oracle_s1342_closed_form, oracle_t_closed
 
 P1342 = Permutation((1, 3, 4, 2))
 P1234 = Permutation((1, 2, 3, 4))
@@ -51,6 +53,12 @@ def test_t_closed_small_values():
     assert t_closed(4) == 56
     with pytest.raises(DomainError):
         t_closed(0)
+
+
+def test_t_closed_matches_the_factorial_form_to_1500():
+    for n in range(1, 1501):
+        assert t_closed(n) == oracle_t_closed(n)
+        assert indecomposable_count(n + 1) == oracle_t_closed(n)
 
 
 def test_t_recurrence_matches_closed_form():
@@ -101,9 +109,10 @@ def test_s1342_convolution():
     assert values[1:] == S1342_VALUES
 
 
-def test_convolution_matches_closed_form_to_200():
-    values = s1342_convolution(200)
-    for n in range(1, 201):
+def test_convolution_matches_closed_form_to_1200():
+    values = s1342_convolution(1200)
+    assert len(values) == 1201
+    for n in range(1, 1201):
         assert values[n] == s1342_closed(n)
 
 
@@ -177,6 +186,34 @@ def test_cross_check_detects_injected_error():
 def test_cross_check_respects_brute_ceiling():
     with pytest.raises(DomainError):
         cross_check(10, 13)
+
+
+def test_sequence_report_add_is_linear_in_the_number_of_entries():
+    report = SequenceReport("s")
+    start = time.perf_counter()
+    for k in range(20_000):
+        report.add(k // 4, k // 4, f"m{k % 4}")
+    elapsed = time.perf_counter() - start
+    assert len(report.entries) == 20_000 and report.consistent
+    assert elapsed < 0.5, f"20 000 adds took {elapsed:.2f} s"
+
+
+def test_sequence_report_lists_discrepancies_in_entry_order():
+    def build():
+        report = SequenceReport("s", [(1, 1, "a")])
+        for n, value, method in [(2, 2, "a"), (1, 1, "b"), (2, 3, "b"), (1, 5, "c"),
+                                 (2, 2, "c"), (3, 7, "a"), (1, 1, "d")]:
+            report.add(n, value, method)
+        return report
+
+    report = build()
+    assert report.discrepancies == [(2, "a", "b"), (1, "a", "c"), (1, "b", "c"),
+                                    (2, "b", "c"), (1, "c", "d")]
+    assert report.entries[0] == (1, 1, "a") and len(report.entries) == 8
+    assert report == build()
+    assert repr(report) == (f"SequenceReport(name='s', entries={report.entries!r}, "
+                            f"discrepancies={report.discrepancies!r})")
+    assert report != SequenceReport("s", list(report.entries), [])
 
 
 def test_report_json_schema():
