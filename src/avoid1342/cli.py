@@ -12,9 +12,10 @@ Subcommands::
 
 Exit codes: 0 success, 1 verification discrepancy, 2 bad input or unsupported
 combination, 3 refused resource ceiling (``--max-brute-n`` for brute force,
-``QUADRATIC_CEILING`` for series and convolution), 4 internal error (a failed
-self-check; a bug, never bad input).  Output is deterministic: the same
-invocation always produces the same bytes, whatever the worker count.
+``QUADRATIC_CEILING`` for series, convolution and the sequences suite), 4
+internal error (a failed self-check; a bug, never bad input).  Output is
+deterministic: the same invocation always produces the same bytes, whatever
+the worker count.
 """
 from __future__ import annotations
 
@@ -41,14 +42,15 @@ EXIT_USER_ERROR = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-#: Largest n that ``--method series`` and ``--method convolution`` accept.  Both
-#: are quadratic in big integers: at n = 2500 on a 2-core 2 GHz machine the
-#: series takes about 25-35 s and the convolution about 20-25 s.
+#: Largest n that ``--method series``, ``--method convolution`` and the
+#: sequences suite of ``verify`` accept.  All run a quadratic route in big
+#: integers: at n = 2500 on a 2-core 2 GHz machine the series takes about
+#: 25-35 s and the convolution about 20-25 s.
 QUADRATIC_CEILING = 2500
 
 _CLOSED_FORMS = {
     "1342": counting.s1342_closed,
-    "1234": counting.s1234_closed,
+    "1234": lambda n: counting.s1234_recurrence(n)[n],  # linear; the closed sum is not
 }
 
 
@@ -227,6 +229,9 @@ def _cmd_verify(args) -> int:
         raise DomainError("--max-n must be at least 1")
     if args.expect_failure and args.suite not in ("sequences", "all"):
         raise DomainError("--expect-failure applies to the sequences suite")
+    if args.suite in ("sequences", "all") and args.max_n > QUADRATIC_CEILING:
+        raise ResourceLimitError(
+            f"--max-n {args.max_n} exceeds the ceiling {QUADRATIC_CEILING} of the sequences suite")
     failures: list[str] = []
     report = None
     if args.suite in ("bijection", "all"):
@@ -337,6 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise DomainError("--workers must be at least 1")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -274,7 +274,8 @@ def cross_check(
     Closed forms, series coefficients, recurrences and convolutions run up to
     ``up_to_closed``; brute-force oracles up to ``up_to_brute``.  Also checks
     s1342(n) < 8^n over the closed range and s1342(n) < s1234(n) from n = 6 on
-    (by oracle on the brute range, by closed forms on the full range).
+    (by oracle on the brute range; on the closed range against one pass of
+    ``s1234_recurrence``).
     Disagreements are reported as data, not raised.  ``inject_error``
     deliberately corrupts one value so harnesses can confirm the check is not
     vacuous.
@@ -331,8 +332,9 @@ def cross_check(
     for n, value in closed.items():
         if not value < 8 ** n:
             report.bound_violations.append(f"s1342({n}) >= 8^{n}")
+    s1234 = s1234_recurrence(up_to_closed)
     for n in range(6, up_to_closed + 1):
-        if not closed[n] < s1234_closed(n):
+        if not closed[n] < s1234[n]:
             report.bound_violations.append(f"s1342({n}) >= s1234({n}) [closed]")
     for n in range(6, up_to_brute + 1):
         if not brute[n] < count_avoiders(n, _P1234, ceiling=brute_ceiling):

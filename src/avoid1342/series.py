@@ -100,11 +100,8 @@ class TruncatedSeries:
         return self.coeffs == other.coeffs
 
     def __str__(self) -> str:
-        # one coefficient per line: "n: value" (plain integer when denominator is 1)
-        lines = []
-        for n, c in enumerate(self.coeffs):
-            lines.append(f"{n}: {c.numerator}" if c.denominator == 1 else f"{n}: {c}")
-        return "\n".join(lines)
+        # one coefficient per line: "n: value" (a Fraction prints an integer plainly)
+        return "\n".join(f"{n}: {c}" for n, c in enumerate(self.coeffs))
 
 
 def scale(series: TruncatedSeries, factor: Scalar) -> TruncatedSeries:

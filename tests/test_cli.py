@@ -66,6 +66,18 @@ def test_count_closed_1234(capsys):
     assert (code, out) == (0, "2761\n")
 
 
+def test_count_1234_closed_is_linear_in_n(capsys):
+    # one P-recurrence pass; summing the closed form for one n took about 53 s
+    # at n = 20 000
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--pattern", "1234", "--n", "20000", "--method", "closed")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and out[:-1].isdigit() and out.endswith("\n")
+    assert elapsed < 5.0, elapsed
+    code, out, _ = run(capsys, "count", "--pattern", "1234", "--n", "1000", "--method", "closed")
+    assert (code, out) == (0, f"{counting.s1234_closed(1000)}\n")
+
+
 def test_count_unsupported_pair(capsys):
     code, _, err = run(capsys, "count", "--pattern", "2413", "--n", "5", "--method", "closed")
     assert code == 2
@@ -90,6 +102,16 @@ def test_quadratic_methods_refuse_n_above_their_ceiling(capsys, command, method)
     assert str(cli.QUADRATIC_CEILING) in err
 
 
+@pytest.mark.parametrize("suite", ["sequences", "all"])
+def test_verify_sequences_refuses_max_n_above_the_quadratic_ceiling(capsys, suite):
+    # the suite runs H_series_division over its whole range
+    code, out, err = run(capsys, "verify", "--suite", suite,
+                         "--max-n", str(cli.QUADRATIC_CEILING + 1))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(cli.QUADRATIC_CEILING) in err
+
+
 def test_quadratic_ceiling_leaves_room_for_the_benchmark_sizes():
     assert cli.QUADRATIC_CEILING >= 2 * 1000
 
@@ -109,6 +131,20 @@ def test_count_n_zero_is_the_empty_permutation(capsys, pattern, method):
     code, out, err = run(capsys, "count", "--pattern", pattern, "--n", "0", "--method", method,
                          "--workers", "1")
     assert (code, out, err) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--pattern", "1342", "--n", "7", "--method", "brute"),
+    ("count", "--pattern", "1342", "--n", "7", "--method", "closed"),
+    ("sequence", "--pattern", "1342", "--upto", "7", "--method", "brute"),
+    ("generate", "avoiders", "--pattern", "1342", "--n", "7", "--count-only"),
+    ("generate", "trees", "--n", "3"),
+])
+def test_workers_below_one_is_bad_input(capsys, argv):
+    for workers in ("0", "-1"):
+        code, out, err = run(capsys, *argv, "--workers", workers)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------- sequence

@@ -183,6 +183,20 @@ def test_cross_check_detects_injected_error():
     assert bad.discrepancies
 
 
+def test_cross_check_bound_reads_one_1234_recurrence_pass(monkeypatch):
+    # one pass over the closed range; summing the closed form per n was cubic
+    calls = []
+
+    def too_small(up_to):
+        calls.append(up_to)
+        return [0] * (up_to + 1)
+
+    monkeypatch.setattr(counting, "s1234_recurrence", too_small)
+    report = cross_check(12, 4)
+    assert calls == [12]
+    assert report.bound_violations == [f"s1342({n}) >= s1234({n}) [closed]" for n in range(6, 13)]
+
+
 def test_cross_check_respects_brute_ceiling():
     with pytest.raises(DomainError):
         cross_check(10, 13)
