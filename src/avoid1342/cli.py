@@ -12,10 +12,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 verification discrepancy, 2 bad input or unsupported
 combination, 3 refused resource ceiling (``--max-brute-n`` for brute force,
-``QUADRATIC_CEILING`` for series, convolution and the sequences suite), 4
-internal error (a failed self-check; a bug, never bad input).  Output is
-deterministic: the same invocation always produces the same bytes, whatever
-the worker count.
+``QUADRATIC_CEILING`` for the quadratic routes), 4 internal error (a failed
+self-check; a bug, never bad input).  Output is deterministic: the same
+invocation always produces the same bytes, whatever the worker count.
 """
 from __future__ import annotations
 
@@ -42,10 +41,9 @@ EXIT_USER_ERROR = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
-#: Largest n that ``--method series``, ``--method convolution`` and the
-#: sequences suite of ``verify`` accept.  All run a quadratic route in big
-#: integers: at n = 2500 on a 2-core 2 GHz machine the series takes about
-#: 25-35 s and the convolution about 20-25 s.
+#: Largest n of ``--method series`` and ``convolution`` and ``verify --suite
+#: sequences``, all quadratic in big integers: at n = 2500 on a 2-core 2 GHz
+#: machine the series takes about 25-35 s and the convolution about 20-25 s.
 QUADRATIC_CEILING = 2500
 
 _CLOSED_FORMS = {

@@ -323,12 +323,10 @@ def _gap(t: tuple[int, ...], r: int) -> int:
 
 
 def _occurrence_state(n: int, q: Sequence[int]):
-    """The occurrence state of the empty prefix for pattern q in 1..n, and its step.
+    """The occurrence state (see ``_walk``) of the empty prefix for q in 1..n, and its step.
 
-    Returns ``levels``, ``pending`` and ``forbid`` (see ``_walk``) and the
-    step ``extend(v, c, used, forbid, pending) -> forbid`` that appends v as
-    entry c of a prefix whose values are then ``used``: it folds ``pending``
-    into ``forbid`` and extends the levels, both in place.
+    ``extend(v, c, used, forbid, pending) -> forbid`` appends v as entry c of a
+    prefix whose values are then ``used``; levels and pending change in place.
     """
     k = len(q)
     ranks = [sum(1 for a in range(j) if q[a] < q[j]) for j in range(k)]
