@@ -13,8 +13,9 @@ Subcommands::
 Exit codes: 0 success, 1 verification discrepancy, 2 bad input or unsupported
 combination, 3 refused resource ceiling (``--max-brute-n`` for brute force,
 ``QUADRATIC_CEILING`` for the quadratic routes), 4 internal error (a failed
-self-check; a bug, never bad input).  Output is deterministic: the same
-invocation always produces the same bytes, whatever the worker count.
+self-check; a bug, never bad input).  ``sequence --upto 0`` refuses what
+``count --n 0`` refuses; ``verify`` checks both ceilings before any work.  The
+same invocation always prints the same bytes, whatever the worker count.
 """
 from __future__ import annotations
 
@@ -46,15 +47,6 @@ EXIT_INTERNAL = 4
 #: machine the series takes about 25-35 s and the convolution about 20-25 s.
 QUADRATIC_CEILING = 2500
 
-_CLOSED_FORMS = {
-    "1342": counting.s1342_closed,
-    "1234": lambda n: counting.s1234_recurrence(n)[n],  # linear; the closed sum is not
-}
-
-
-def _parse_perm(text: str) -> perms.Permutation:
-    return perms.Permutation.from_text(text)
-
 
 def _brute_count_job(job) -> int:
     n, pattern_values, selection, first, ceiling = job
@@ -73,50 +65,39 @@ def _brute_count(pattern: perms.Permutation, n: int, selection, ceiling: int, wo
     return perms.count_avoiders(n, pattern, selection, ceiling=ceiling)
 
 
-def _quadratic_values(method: str, upto: int) -> list[int]:
-    """s1342(0..upto) by ``--method series`` or ``--method convolution``."""
-    if upto > QUADRATIC_CEILING:
+def _counts(args, lo: int, hi: int) -> list[int]:
+    """Counts for n = lo..hi; the order of the checks is the precedence of the refusals."""
+    if args.method == "brute":
+        p = perms.Permutation.from_text(args.pattern)
+        return [_brute_count(p, n, "all", args.max_brute_n, args.workers)
+                for n in range(lo, hi + 1)]
+    if (args.pattern, args.method) == ("1234", "closed"):
+        return counting.s1234_recurrence(hi)[lo:]  # linear; the closed sum is not
+    if args.pattern != "1342":
+        route = "closed form" if args.method == "closed" else args.method
+        raise DomainError(f"no {route} for pattern {args.pattern}")
+    if args.method == "closed":  # n = 0 counts the empty permutation
+        return [counting.s1342_closed(n) if n else 1 for n in range(lo, hi + 1)]
+    if hi > QUADRATIC_CEILING:
         raise ResourceLimitError(
-            f"n={upto} exceeds the ceiling {QUADRATIC_CEILING} of --method {method}")
-    if method == "convolution":
-        return counting.s1342_convolution(upto)
-    h = series.H_series_division(max(upto, 1))
-    return [int(h.coefficient(n)) for n in range(upto + 1)]
-
-
-def _one_value(pattern_text: str, n: int, method: str, args) -> int:
-    if method == "closed":
-        fn = _CLOSED_FORMS.get(pattern_text)
-        if fn is None:
-            raise DomainError(f"no closed form for pattern {pattern_text}")
-        return fn(n) if n else 1  # the empty permutation, as for every other method
-    if method in ("series", "convolution"):
-        if pattern_text != "1342":
-            raise DomainError(f"no {method} for pattern {pattern_text}")
-        return _quadratic_values(method, n)[n]
-    if method == "brute":
-        return _brute_count(_parse_perm(pattern_text), n, "all", args.max_brute_n, args.workers)
-    raise DomainError(f"unknown method {method}")
+            f"n={hi} exceeds the ceiling {QUADRATIC_CEILING} of --method {args.method}")
+    if args.method == "convolution":
+        return counting.s1342_convolution(hi)[lo:]
+    h = series.H_series_division(max(hi, 1))
+    return [int(h.coefficient(n)) for n in range(lo, hi + 1)]
 
 
 def _cmd_count(args) -> int:
     if args.n < 0:
         raise DomainError("--n must be nonnegative")
-    print(_one_value(args.pattern, args.n, args.method, args))
+    print(_counts(args, args.n, args.n)[0])
     return EXIT_OK
 
 
 def _cmd_sequence(args) -> int:
     if args.upto < 0:
         raise DomainError("--upto must be nonnegative")
-    if args.method in ("series", "convolution") and args.pattern == "1342":
-        values = _quadratic_values(args.method, args.upto)
-        rows = [(n, values[n]) for n in range(1, args.upto + 1)]
-    elif args.method == "closed" and args.pattern == "1234":
-        rows = list(enumerate(counting.s1234_recurrence(args.upto)))[1:]
-    else:
-        rows = [(n, _one_value(args.pattern, n, args.method, args))
-                for n in range(1, args.upto + 1)]
+    rows = list(enumerate(_counts(args, 1, args.upto), start=1))
     if args.format == "json":
         payload = {
             "pattern": args.pattern,
@@ -137,11 +118,11 @@ def _cmd_sequence(args) -> int:
 def _cmd_map(args) -> int:
     direction = args.direction
     if direction == "perm-to-tree":
-        print(trees.serialize(bijections.F_forward(_parse_perm(args.input))))
+        print(trees.serialize(bijections.F_forward(perms.Permutation.from_text(args.input))))
     elif direction == "tree-to-perm":
         print(bijections.F_inverse(trees.parse(args.input)))
     elif direction == "perm-to-forest":
-        forest = bijections.forest_forward(_parse_perm(args.input))
+        forest = bijections.forest_forward(perms.Permutation.from_text(args.input))
         print(",".join(trees.serialize(t) for t in forest))
     else:  # forest-to-perm
         forest = [trees.parse(part) for part in args.input.split(",")]
@@ -170,7 +151,7 @@ def _cmd_generate(args) -> int:
         selection = "indecomposable"
     elif args.first_entry_1:
         selection = "first_entry_is_1"
-    pattern = _parse_perm(args.pattern)
+    pattern = perms.Permutation.from_text(args.pattern)
     if args.count_only:
         print(_brute_count(pattern, args.n, selection, args.max_brute_n, args.workers))
     else:
@@ -196,7 +177,7 @@ def _verify_bijection(max_n: int, ceiling: int) -> list[str]:
             if back != p:
                 failures.append(f"n={n}: roundtrip {p} -> {text} -> {back}")
         everything = {trees.serialize(t)
-                      for t in trees.generate_all_beta01(n, ceiling=max(n, ceiling))}
+                      for t in trees.generate_all_beta01(n, ceiling=ceiling)}
         if image != everything:
             failures.append(f"n={n}: image has {len(image)} trees, expected {len(everything)}")
     return failures
@@ -230,6 +211,10 @@ def _cmd_verify(args) -> int:
     if args.suite in ("sequences", "all") and args.max_n > QUADRATIC_CEILING:
         raise ResourceLimitError(
             f"--max-n {args.max_n} exceeds the ceiling {QUADRATIC_CEILING} of the sequences suite")
+    if args.suite in ("bijection", "all") and args.max_n > args.max_brute_n:
+        raise ResourceLimitError(
+            f"exhaustive enumeration refused for n={args.max_brute_n + 1} "
+            f"(ceiling {args.max_brute_n}); raise the ceiling explicitly to proceed")
     failures: list[str] = []
     report = None
     if args.suite in ("bijection", "all"):
@@ -258,7 +243,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    print(perms.normalize(_parse_perm(args.perm)))
+    print(perms.normalize(perms.Permutation.from_text(args.perm)))
     return EXIT_OK
 
 

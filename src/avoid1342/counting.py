@@ -315,7 +315,7 @@ def cross_check(
         i_report.add(n, int(f_coeffs.coefficient(n)), "series")
     for n in range(1, up_to_brute + 1):
         i_report.add(n, count_avoiders(n, _P1342, "indecomposable", ceiling=brute_ceiling), "brute")
-        i_report.add(n, sum(1 for _ in generate_all_beta01(n, ceiling=max(n, 12))), "trees")
+        i_report.add(n, sum(1 for _ in generate_all_beta01(n, ceiling=brute_ceiling)), "trees")
     report.reports.append(i_report)
 
     c_report = SequenceReport("catalan")

@@ -4,7 +4,15 @@ import time
 
 import pytest
 
-from avoid1342 import IntegralityError, ReconstructionError, bijections, cli, counting
+from avoid1342 import (
+    IntegralityError,
+    ReconstructionError,
+    ResourceLimitError,
+    bijections,
+    cli,
+    counting,
+    perms,
+)
 from avoid1342.cli import main
 
 S1342_VALUES = [1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662]
@@ -131,6 +139,40 @@ def test_count_n_zero_is_the_empty_permutation(capsys, pattern, method):
     code, out, err = run(capsys, "count", "--pattern", pattern, "--n", "0", "--method", method,
                          "--workers", "1")
     assert (code, out, err) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize(
+    "pattern,method",
+    [("2413", "closed"), ("1234", "series"), ("132", "convolution"), ("14x2", "brute")],
+)
+def test_sequence_upto_zero_refuses_unsupported_pairs_like_count(capsys, pattern, method):
+    common = ("--pattern", pattern, "--method", method, "--workers", "1")
+    code, out, err = run(capsys, "sequence", "--upto", "0", *common)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run(capsys, "count", "--n", "0", *common) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "pattern,method",
+    [("1342", "closed"), ("1342", "series"), ("1342", "convolution"), ("1342", "brute"),
+     ("1234", "closed"), ("1234", "brute"), ("2413", "brute")],
+)
+def test_count_reads_the_rows_of_sequence(capsys, pattern, method):
+    common = ("--pattern", pattern, "--method", method, "--workers", "1")
+    values = []
+    for k in range(1, 9):
+        code, out, err = run(capsys, "count", "--n", str(k), *common)
+        assert (code, err) == (0, "")
+        values.append(out[:-1])
+    rows = list(enumerate(values, start=1))
+    tables = {fmt: run(capsys, "sequence", "--upto", "8", "--format", fmt, *common)
+              for fmt in ("text", "csv", "json")}
+    assert tables["text"] == (0, "".join(f"{k} {v}\n" for k, v in rows), "")
+    assert tables["csv"] == (0, "n,value\n" + "".join(f"{k},{v}\n" for k, v in rows), "")
+    code, out, err = tables["json"]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["values"] == [{"n": k, "value": v} for k, v in rows]
 
 
 @pytest.mark.parametrize("argv", [
@@ -360,6 +402,25 @@ def test_verify_refuses_negative_max_n(capsys, suite):
         code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", max_n)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", ["bijection", "all"])
+def test_verify_bijection_refuses_max_n_above_the_brute_ceiling_before_any_work(
+        capsys, monkeypatch, suite):
+    calls = []
+    forward = bijections.F_forward
+
+    def recording(p):
+        calls.append(p)
+        return forward(p)
+
+    monkeypatch.setattr(bijections, "F_forward", recording)
+    # the line names the first n refused, as when the suite reached it
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-n", "10", "--max-brute-n", "8")
+    with pytest.raises(ResourceLimitError) as refused:
+        next(perms.iter_avoiders(9, perms.Permutation((1, 3, 4, 2)), "indecomposable", ceiling=8))
+    assert (code, out, err) == (3, "", f"error: {refused.value}\n")
+    assert calls == []
 
 
 def test_verify_bijection(capsys):
