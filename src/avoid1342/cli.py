@@ -14,16 +14,15 @@ Exit codes: 0 success, 1 verification discrepancy, 2 bad input or unsupported
 combination, 3 refused resource ceiling (``--max-brute-n`` for brute force,
 ``QUADRATIC_CEILING`` for the quadratic routes), 4 internal error (a failed
 self-check; a bug, never bad input).  ``sequence --upto 0`` refuses what
-``count --n 0`` refuses; ``verify`` checks both ceilings before any work.  The
-same invocation always prints the same bytes, whatever the worker count.
+``count --n 0`` refuses; ``sequence`` and ``verify`` check their ceilings
+before any work.  Every brute count runs in this process through
+``perms.count_avoiders``; ``--workers`` is checked and otherwise ignored.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import bijections, counting, perms, series, trees
 from .errors import (
@@ -48,29 +47,21 @@ EXIT_INTERNAL = 4
 QUADRATIC_CEILING = 2500
 
 
-def _brute_count_job(job) -> int:
-    n, pattern_values, selection, first, ceiling = job
-    return perms.count_avoiders(
-        n, perms.Permutation(pattern_values), selection, first_entry=first, ceiling=ceiling
-    )
-
-
-def _brute_count(pattern: perms.Permutation, n: int, selection, ceiling: int, workers: int) -> int:
-    # partition by first entry; summing the partial counts keeps the result
-    # independent of scheduling
-    if workers > 1 and n >= 7:
-        jobs = [(n, pattern.values, selection, first, ceiling) for first in range(1, n + 1)]
-        with ProcessPoolExecutor(max_workers=min(workers, n)) as pool:
-            return sum(pool.map(_brute_count_job, jobs))
-    return perms.count_avoiders(n, pattern, selection, ceiling=ceiling)
+def _check_brute_ceiling(lo: int, hi: int, ceiling: int) -> None:
+    """Refuse n = lo..hi before any work, with the enumerator's line for the first n too large."""
+    if lo <= hi and hi > ceiling:
+        raise ResourceLimitError(
+            f"exhaustive enumeration refused for n={max(lo, ceiling + 1)} (ceiling {ceiling}); "
+            "raise the ceiling explicitly to proceed")
 
 
 def _counts(args, lo: int, hi: int) -> list[int]:
     """Counts for n = lo..hi; the order of the checks is the precedence of the refusals."""
     if args.method == "brute":
         p = perms.Permutation.from_text(args.pattern)
-        return [_brute_count(p, n, "all", args.max_brute_n, args.workers)
-                for n in range(lo, hi + 1)]
+        if p.values:  # count_avoiders refuses an empty pattern first
+            _check_brute_ceiling(lo, hi, args.max_brute_n)
+        return [perms.count_avoiders(n, p, ceiling=args.max_brute_n) for n in range(lo, hi + 1)]
     if (args.pattern, args.method) == ("1234", "closed"):
         return counting.s1234_recurrence(hi)[lo:]  # linear; the closed sum is not
     if args.pattern != "1342":
@@ -153,7 +144,7 @@ def _cmd_generate(args) -> int:
         selection = "first_entry_is_1"
     pattern = perms.Permutation.from_text(args.pattern)
     if args.count_only:
-        print(_brute_count(pattern, args.n, selection, args.max_brute_n, args.workers))
+        print(perms.count_avoiders(args.n, pattern, selection, ceiling=args.max_brute_n))
     else:
         for p in perms.iter_avoiders(args.n, pattern, selection, ceiling=args.max_brute_n):
             print(p)
@@ -211,10 +202,8 @@ def _cmd_verify(args) -> int:
     if args.suite in ("sequences", "all") and args.max_n > QUADRATIC_CEILING:
         raise ResourceLimitError(
             f"--max-n {args.max_n} exceeds the ceiling {QUADRATIC_CEILING} of the sequences suite")
-    if args.suite in ("bijection", "all") and args.max_n > args.max_brute_n:
-        raise ResourceLimitError(
-            f"exhaustive enumeration refused for n={args.max_brute_n + 1} "
-            f"(ceiling {args.max_brute_n}); raise the ceiling explicitly to proceed")
+    if args.suite in ("bijection", "all"):
+        _check_brute_ceiling(1, args.max_n, args.max_brute_n)
     failures: list[str] = []
     report = None
     if args.suite in ("bijection", "all"):
@@ -259,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ceiling for exhaustive work (default %(default)s)")
 
     def add_workers(p):
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                       help="worker processes for brute-force counting (default: cores)")
+        p.add_argument("--workers", type=int, default=1,
+                       help="accepted and ignored: brute counts run in one process")
 
     p_count = sub.add_parser("count", help="print one exact count")
     p_count.add_argument("--pattern", required=True)

@@ -6,11 +6,11 @@ type doubles as a pattern: ``p`` contains ``q`` when some subsequence of ``p``
 is order-isomorphic to ``q``, and avoids it otherwise.
 
 All functions here are pure and all values immutable, so everything may be
-shared freely across threads.  ``iter_avoiders``/``count_avoiders`` share one
-prefix walk; the pattern, the selection and ``first_entry`` all prune
-prefixes, so no finished permutation is filtered.  ``first_entry`` also lets
-callers partition the search space into disjoint sub-ranges and fan them out
-to workers.
+shared freely across threads.  ``iter_avoiders`` streams by a prefix walk and
+``count_avoiders`` counts prefix states one length at a time, so the stream
+and the count are two independent routes.  In both, the pattern, the
+selection and ``first_entry`` prune prefixes, so no finished permutation is
+filtered.
 
 Neither the walk nor ``contains`` searches for the pattern.  Both carry
 one occurrence state of the pattern q for a prefix: level j holds the
@@ -446,7 +446,8 @@ def _walk(
         forbid = extend(v, c, used, forbid, pending)
         vals.append(v)
         low = new_low
-        v, stop = 1, n + 1
+        # a forbidden value left must still be placed: back up at once
+        v, stop = 1, 1 if forbid & ~used else n + 1
 
 
 def iter_avoiders(
@@ -462,8 +463,7 @@ def iter_avoiders(
     Yields each avoider exactly once, in lexicographic order.  The pattern and
     the selection both prune prefixes, so only prefixes of selected avoiders
     are ever extended.  ``first_entry`` (in 1..n) restricts the stream to
-    permutations starting with that value (disjoint sub-ranges for parallel
-    callers).
+    permutations starting with that value.
 
     >>> [str(p) for p in iter_avoiders(3, Permutation.from_text("132"))]
     ['123', '213', '231', '312', '321']
@@ -483,8 +483,47 @@ def count_avoiders(
 ) -> int:
     """Exact number of n-permutations avoiding ``pattern`` that pass ``selection``.
 
+    Counts prefix states, not avoiders.  With m values left, a prefix's
+    completions depend only on its occurrences of q[:j] (j < k = len(q)),
+    each stored as the number of values left below each of its values,
+    framed by 0 and m; only occurrences whose gap for q[j] is nonempty are
+    kept.  ``"indecomposable"`` adds the number of values left below the
+    prefix minimum.  One layer ``{state: prefixes}`` steps from m = n to 0.
+    Appending the x-th smallest value left extends every occurrence whose
+    gap holds x and lowers every value above it; the new state is dead if
+    it holds an occurrence of q[:k - 1], whose gap must be filled later.
+
     >>> count_avoiders(6, Permutation.from_text("1342"))
     512
     """
     first, indecomposable = _prunes(n, pattern, selection, first_entry, ceiling)
-    return sum(1 for _ in _walk(n, pattern.values, first, indecomposable))
+    if n == 0:  # the empty permutation has no first entry and no blocks
+        return int(first is None and not indecomposable)
+    q, k = pattern.values, len(pattern)
+    ranks = [sum(1 for a in range(j) if q[a] < q[j]) for j in range(k)]
+    # for k = 1 the empty occurrence is already dead
+    layer = {(n, ((0, n),)): 1} if k > 1 else {}
+    for m in range(n, 0, -1):
+        nxt: dict[tuple, int] = {}
+        for (low, occs), ways in layer.items():
+            for x in range(1, m + 1) if m < n or first is None else first:
+                new_low = x - 1 if x <= low else low
+                if indecomposable and 0 < new_low == m - 1:  # a proper prefix of top values
+                    continue
+                state, dead = set(), False
+                for t in occs:
+                    r = ranks[len(t) - 2]
+                    s = tuple(b - (b >= x) for b in t)
+                    if s[r] < s[r + 1]:
+                        state.add(s)
+                    if t[r] < x <= t[r + 1]:
+                        s = s[:r + 1] + (x - 1,) + s[r + 1:]
+                        j = len(s) - 2
+                        if s[ranks[j]] < s[ranks[j] + 1]:
+                            dead |= j == k - 1
+                            state.add(s)
+                if not dead:
+                    key = (new_low if indecomposable else 0, tuple(sorted(state)))
+                    nxt[key] = nxt.get(key, 0) + ways
+        layer = nxt
+    return sum(layer.values())

@@ -1,4 +1,6 @@
+import ast
 import json
+import pathlib
 import sys
 import time
 
@@ -44,29 +46,27 @@ def test_count_brute_symmetry_class(capsys):
     assert (code, out) == (0, "103\n")
 
 
-def test_brute_count_caps_the_pool_at_the_number_of_jobs(capsys, monkeypatch):
-    # a stand-in pool that records its size and maps in this process, so no
-    # process is started whatever --workers asks for
-    sizes = []
+@pytest.mark.parametrize("argv", [
+    ("count", "--pattern", "1342", "--n", "8", "--method", "brute"),
+    ("sequence", "--pattern", "2413", "--upto", "8", "--method", "brute"),
+    ("generate", "avoiders", "--pattern", "1342", "--n", "8", "--indecomposable", "--count-only"),
+])
+def test_workers_changes_no_byte(capsys, argv):
+    assert run(capsys, *argv, "--workers", "1") == run(capsys, *argv, "--workers", "5000")
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    code, out, _ = run(capsys, "count", "--pattern", "1342", "--n", "7", "--method", "brute",
-                       "--workers", "5000")
-    assert (code, out) == (0, "2740\n")
-    assert sizes == [7]
+def test_no_module_imports_a_process_pool():
+    # every brute count runs in one process; --workers is accepted and ignored
+    for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("concurrent", "multiprocessing"), (path, name)
 
 
 def test_count_closed_1234(capsys):
@@ -97,6 +97,19 @@ def test_count_above_ceiling(capsys):
                        "--workers", "1")
     assert code == 3
     assert "ceiling" in err
+
+
+def test_sequence_brute_refuses_upto_above_the_ceiling_before_any_count(capsys, monkeypatch):
+    count = perms.count_avoiders
+    calls = []
+    monkeypatch.setattr(perms, "count_avoiders", lambda *args, **kwargs: calls.append(args) or 0)
+    # the line names the first n refused, as when the loop reached it
+    code, out, err = run(capsys, "sequence", "--pattern", "1342", "--upto", "10",
+                         "--method", "brute", "--max-brute-n", "8")
+    with pytest.raises(ResourceLimitError) as refused:
+        count(9, perms.Permutation((1, 3, 4, 2)), ceiling=8)
+    assert (code, out, err) == (3, "", f"error: {refused.value}\n")
+    assert calls == []
 
 
 @pytest.mark.parametrize("command", ["count", "sequence"])

@@ -24,6 +24,7 @@ from avoid1342 import (
     normalize,
     pattern_of,
     same_class,
+    t_closed,
 )
 from avoid1342.bijections import _beat_extents, _contains_1342
 from avoid1342.errors import DomainError
@@ -394,6 +395,20 @@ def test_enumerate_pinned_counts_at_nine():
     # 2413 is Wilf-equivalent to 1342 (Stankova)
     assert count_avoiders(9, P1342) == 91245
     assert count_avoiders(9, P("2413")) == 91245
+
+
+def test_count_pinned_beyond_the_walk():
+    assert count_avoiders(10, P1342) == count_avoiders(10, P("2413")) == 555662
+    assert count_avoiders(10, P1342, "indecomposable") == t_closed(9)
+    assert count_avoiders(12, P1342) == 22214707
+    # one loop over layers: no recursion depth and no size limit in the state
+    assert count_avoiders(1500, P("21"), ceiling=1500) == 1
+
+
+def test_walk_backs_up_from_a_dead_prefix():
+    # a prefix whose values left include one that completes 21 has no
+    # completion; walking on from it would try exponentially many prefixes
+    assert [p.values for p in iter_avoiders(60, P("21"), ceiling=60)] == [tuple(range(1, 61))]
 
 
 def test_pattern_of():
