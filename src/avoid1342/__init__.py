@@ -5,7 +5,7 @@ The package provides four layers:
 * :mod:`avoid1342.perms` -- permutations, pattern containment, the class
   normalization, and an exhaustive enumeration oracle;
 * :mod:`avoid1342.trees` -- labeled plane trees with the leaf/root/internal
-  labeling conditions, generation and (de)serialization;
+  labeling conditions, generation, counting and (de)serialization;
 * :mod:`avoid1342.bijections` -- the constructive maps between the two worlds,
   in both directions;
 * :mod:`avoid1342.series` / :mod:`avoid1342.counting` -- exact generating
@@ -78,6 +78,7 @@ from .trees import (
     LabeledPlaneTree,
     ShapeFlags,
     classify_shape,
+    count_beta01,
     generate_all_beta01,
     iter_shapes,
     iter_valid_labelings,

@@ -17,6 +17,10 @@ self-check; a bug, never bad input).  ``sequence --upto 0`` refuses what
 ``count --n 0`` refuses; ``sequence`` and ``verify`` check their ceilings
 before any work.  Every brute count runs in this process through
 ``perms.count_avoiders``; ``--workers`` is checked and otherwise ignored.
+``generate trees --count-only`` reads ``trees.count_beta01``, which builds no
+tree, and ``generate avoiders --count-only`` reads ``perms.count_avoiders``;
+both refuse n above ``--max-brute-n`` as their streams do.  A negative
+``--max-brute-n`` is bad input.
 """
 from __future__ import annotations
 
@@ -125,11 +129,10 @@ def _cmd_generate(args) -> int:
     if args.n < 0:
         raise DomainError("--n must be nonnegative")
     if args.kind == "trees":
-        stream = trees.generate_all_beta01(args.n, ceiling=args.max_brute_n)
         if args.count_only:
-            print(sum(1 for _ in stream))
+            print(trees.count_beta01(args.n, ceiling=args.max_brute_n))
         else:
-            for tree in stream:
+            for tree in trees.generate_all_beta01(args.n, ceiling=args.max_brute_n):
                 print(trees.serialize(tree))
         return EXIT_OK
     # avoiders
@@ -316,6 +319,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "workers", 1) < 1:
             raise DomainError("--workers must be at least 1")
+        if getattr(args, "max_brute_n", 0) < 0:  # 0 admits n = 0
+            raise DomainError("--max-brute-n must be nonnegative")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

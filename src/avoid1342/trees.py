@@ -28,11 +28,15 @@ reading order, like an odometer.
 
 Trees are immutable; generation streams are restartable, and the shape level
 is exposed separately (``iter_shapes`` + ``iter_valid_labelings``) so callers
-can consume shapes in parallel.
+can consume shapes in parallel.  ``count_beta01`` counts the same trees
+without building any: it sums tables of subtrees by size and top label and of
+subtree sequences by size and label sum (``_label_sum_tables``), in O(n^4)
+integer steps, and refuses the same n as the stream.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 from .errors import InvalidTreeError, ResourceLimitError, TreeParseError
@@ -316,12 +320,8 @@ def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
             return
 
 
-def generate_all_beta01(n: int, *, ceiling: int = DEFAULT_CEILING) -> Iterator[LabeledPlaneTree]:
-    """Every valid labeled tree on exactly n nodes, each once, shape by shape.
-
-    Stream lengths for n = 1..5 are 1, 1, 3, 12, 56.  n = 0 gives an empty
-    stream; n above the ceiling is refused.
-    """
+def _check_ceiling(n: int, ceiling: int) -> None:
+    """Refuse a negative n and an n above the ceiling, for the stream and the count alike."""
     if n < 0:
         raise ResourceLimitError(f"n must be nonnegative, got {n}")
     if n > ceiling:
@@ -329,5 +329,56 @@ def generate_all_beta01(n: int, *, ceiling: int = DEFAULT_CEILING) -> Iterator[L
             f"tree generation refused for n={n} (ceiling {ceiling}); "
             "raise the ceiling explicitly to proceed"
         )
+
+
+def generate_all_beta01(n: int, *, ceiling: int = DEFAULT_CEILING) -> Iterator[LabeledPlaneTree]:
+    """Every valid labeled tree on exactly n nodes, each once, shape by shape.
+
+    Stream lengths for n = 1..5 are 1, 1, 3, 12, 56.  n = 0 gives an empty
+    stream; n above the ceiling is refused.
+    """
+    _check_ceiling(n, ceiling)
     for shape in iter_shapes(n):
         yield from iter_valid_labelings(shape)
+
+
+def _label_sum_tables(size: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Counts of valid non-root subtrees by top label, and of their sequences by label sum.
+
+    ``top[m][k]`` (0 < m <= size, k < m) counts the subtrees on m nodes whose
+    top carries label k, and ``forest[m][s]`` (m <= size, s < max(m, 1)) the
+    sequences of such subtrees with m nodes in all and label sum s.  A leaf is
+    ``top[1] == [1]``, the empty sequence ``forest[0] == [1]``; a larger top
+    admits label k over every child sequence of sum at least k - 1, and a
+    sequence is a first subtree followed by a sequence.  ``top[0]`` is unused.
+    """
+    top: list[list[int]] = [[], [1]]
+    forest: list[list[int]] = [[1]]
+    for m in range(1, size + 1):
+        if m > 1:
+            tails = list(accumulate(reversed(forest[m - 1])))[::-1]  # tails[s]: child sums >= s
+            top.append(tails[:1] + tails)  # labels 0 and 1 admit every child sum
+        row = [0] * m
+        for first in range(1, m + 1):
+            rest = forest[m - first]
+            for k, t in enumerate(top[first]):
+                for s, g in enumerate(rest, start=k):
+                    row[s] += t * g
+        forest.append(row)
+    return top, forest
+
+
+def count_beta01(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
+    """Number of valid labeled trees on n nodes, read off ``_label_sum_tables``; no tree is built.
+
+    The root's label is the sum of its children's, so every sequence of n - 1
+    nodes under it counts once.  The count equals the length of
+    ``generate_all_beta01(n)`` and refuses the same n with the same error.
+
+    >>> [count_beta01(n) for n in range(1, 6)]
+    [1, 1, 3, 12, 56]
+    """
+    _check_ceiling(n, ceiling)
+    if n == 0:
+        return 0
+    return sum(_label_sum_tables(n - 1)[1][n - 1])

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import permutations as iter_permutations
 
@@ -5,6 +6,10 @@ import pytest
 from hypothesis import strategies as st
 
 from avoid1342 import LabeledPlaneTree, Permutation
+from avoid1342.trees import _label_sum_tables
+
+#: Largest tree size ``unrank`` serves; its tables take about a second to build.
+UNRANK_MAX_N = 100
 
 
 @st.composite
@@ -63,4 +68,66 @@ def _random_labels(rng, parent):
         child_sum = sum(built[c].label for c in kids[i])
         label = 0 if not kids[i] else child_sum if i == 0 else rng.randint(0, child_sum + 1)
         built[i] = LabeledPlaneTree(label, tuple(built[c] for c in kids[i]))
+    return built[0]
+
+
+
+def random_uniform_tree(seed, n):
+    """A seeded valid labeled tree drawn uniformly from the trees on n nodes (``unrank``)."""
+    return unrank(n, random.Random(seed).randrange(sum(_unrank_tables()[1][n - 1])))
+
+
+@functools.cache
+def _unrank_tables():
+    """The label-sum tables for every tree of at most ``UNRANK_MAX_N`` nodes, built once."""
+    return _label_sum_tables(UNRANK_MAX_N - 1)
+
+
+def _pick(blocks, r):
+    """The key of the block that holds rank r, among (key, size) blocks in order, and r's offset in it."""
+    for key, size in blocks:
+        if r < size:
+            return key, r
+        r -= size
+    raise ValueError("rank out of range")
+
+
+def unrank(n, r):
+    """The valid labeled tree of rank r among the ``count_beta01(n)`` trees on n nodes.
+
+    Each rank 0..count-1 names one tree (the recursive method of Flajolet,
+    Zimmermann and Van Cutsem 1994), so a uniform rank gives a uniform tree.
+    The descent reads the tables of ``trees._label_sum_tables``: the root's
+    label sum, then each sequence's first subtree size and top label and the
+    rest of the sequence, then each subtree's child sum, splitting the rank by
+    the counts of the later parts.  It runs on an explicit stack; nodes come
+    in pre-order and are built bottom-up, so any depth works.
+    """
+    if not 1 <= n <= UNRANK_MAX_N:
+        raise ValueError(f"unrank serves 1..{UNRANK_MAX_N} nodes, got {n}")
+    top, forest = _unrank_tables()
+    s, r = _pick(enumerate(forest[n - 1]), r)
+    label, kids = [s], [[]]  # by pre-order index; the root is index 0
+    todo = [("seq", 0, n - 1, s, r)]  # (kind, parent, size, top label or label sum, rank)
+    while todo:
+        kind, parent, size, value, r = todo.pop()
+        if kind == "tree":
+            node = len(label)
+            label.append(value)
+            kids.append([])
+            kids[parent].append(node)
+            if size > 1:
+                s, r = _pick(((s, c) for s, c in enumerate(forest[size - 1]) if s >= value - 1), r)
+                todo.append(("seq", node, size - 1, s, r))
+        elif size:
+            (first, k), r = _pick(
+                (((first, k), t * forest[size - first][value - k])
+                 for first in range(1, size + 1) for k, t in enumerate(top[first])
+                 if 0 <= value - k < len(forest[size - first])), r)
+            here, later = divmod(r, forest[size - first][value - k])
+            todo.append(("seq", parent, size - first, value - k, later))
+            todo.append(("tree", parent, first, k, here))  # popped first: the left sibling
+    built = [None] * len(label)
+    for node in range(len(label) - 1, -1, -1):  # children carry larger indices
+        built[node] = LabeledPlaneTree(label[node], tuple(built[c] for c in kids[node]))
     return built[0]

@@ -36,7 +36,7 @@ from avoid1342 import (
 )
 
 from avoid1342.bijections import _beat_extents, _contains_1342
-from conftest import perm_strategy, random_caterpillar_tree, random_valid_tree
+from conftest import perm_strategy, random_caterpillar_tree, random_uniform_tree, random_valid_tree
 from oracles import oracle_beats_matrix, oracle_contains, oracle_reaches_matrix
 
 P = Permutation.from_text
@@ -332,6 +332,15 @@ def test_F_roundtrip_on_caterpillars():
         tree = random_caterpillar_tree(seed, 2001)
         p = F_inverse(tree)
         assert is_indecomposable(p)
+        assert F_forward(p) == tree
+
+
+def test_F_roundtrip_on_uniform_trees():
+    # uniform over all valid trees of their size, unlike the seeded shapes above
+    for seed, n in enumerate(range(82, 101, 2)):
+        tree = random_uniform_tree(seed, n)
+        p = F_inverse(tree)
+        assert not contains(p, Permutation((1, 3, 4, 2)))
         assert F_forward(p) == tree
 
 

@@ -14,6 +14,7 @@ from avoid1342 import (
     cli,
     counting,
     perms,
+    trees,
 )
 from avoid1342.cli import main
 
@@ -202,6 +203,21 @@ def test_workers_below_one_is_bad_input(capsys, argv):
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--pattern", "1342", "--n", "3", "--method", "brute"),
+    ("sequence", "--pattern", "1342", "--upto", "3", "--method", "brute"),
+    ("generate", "trees", "--n", "3", "--count-only"),
+    ("generate", "avoiders", "--pattern", "1342", "--n", "3"),
+    ("verify", "--suite", "bijection", "--max-n", "3"),
+])
+def test_negative_max_brute_n_is_bad_input(capsys, argv):
+    code, out, err = run(capsys, *argv, "--max-brute-n", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # 0 is a ceiling: it admits n = 0 and refuses larger n
+    assert run(capsys, *argv, "--max-brute-n", "0")[0] == 3
+
+
 # ---------------------------------------------------------------- sequence
 
 def test_sequence_closed_matches_known_values(capsys):
@@ -360,9 +376,27 @@ def test_corrupt_closed_form_term_is_an_internal_error(capsys, monkeypatch):
 
 # ---------------------------------------------------------------- generate
 
-def test_generate_trees_count_only(capsys):
-    code, out, _ = run(capsys, "generate", "trees", "--n", "3", "--count-only")
-    assert (code, out) == (0, "3\n")
+@pytest.mark.parametrize("n", range(9))
+def test_generate_trees_count_only(capsys, n):
+    code, stream, err = run(capsys, "generate", "trees", "--n", str(n))
+    assert (code, err) == (0, "")
+    lines = stream.count("\n")
+    assert run(capsys, "generate", "trees", "--n", str(n), "--count-only") == (0, f"{lines}\n", "")
+
+
+def test_generate_trees_count_only_builds_no_tree(capsys, monkeypatch):
+    def refusing(*args, **kwargs):
+        raise AssertionError("the count built trees")
+
+    monkeypatch.setattr(trees, "generate_all_beta01", refusing)
+    assert run(capsys, "generate", "trees", "--n", "9", "--count-only") == (0, "54912\n", "")
+
+
+def test_generate_trees_count_only_refuses_like_the_stream(capsys):
+    argv = ("generate", "trees", "--n", "9", "--max-brute-n", "8")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert run(capsys, *argv, "--count-only") == (code, out, err)
 
 
 def test_generate_trees_n1(capsys):

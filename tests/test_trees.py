@@ -10,7 +10,9 @@ from avoid1342 import (
     TreeParseError,
     catalan,
     classify_shape,
+    count_beta01,
     generate_all_beta01,
+    indecomposable_count,
     iter_shapes,
     iter_valid_labelings,
     normalize_tree,
@@ -21,6 +23,7 @@ from avoid1342 import (
     subtree_size,
     validate_beta01,
 )
+from conftest import unrank
 from oracles import oracle_is_valid_labeling, oracle_labelings, oracle_shapes, oracle_tree_text
 
 #: tree counts on 1..8 nodes, pinned from exhaustive generation and confirmed
@@ -283,3 +286,32 @@ def test_validate_matches_the_oracle_on_every_small_labeling():
         assert accepted == {t for t in generated if max(_labels(t)) <= 3}
         if n <= 5:
             assert len(accepted) == TREE_COUNTS[n - 1]
+
+
+def test_count_matches_the_stream():
+    for n in range(0, 11):
+        assert count_beta01(n) == sum(1 for _ in generate_all_beta01(n)), n
+    assert [count_beta01(n) for n in range(1, 9)] == TREE_COUNTS
+
+
+def test_count_matches_the_closed_form_to_60():
+    for n in range(2, 61):
+        assert count_beta01(n, ceiling=60) == indecomposable_count(n), n
+
+
+@pytest.mark.parametrize("n,ceiling", [(13, 12), (9, 8), (1, 0), (-1, 12), (0, -1)])
+def test_count_refuses_what_the_stream_refuses(n, ceiling):
+    with pytest.raises(ResourceLimitError) as stream:
+        next(generate_all_beta01(n, ceiling=ceiling))
+    with pytest.raises(ResourceLimitError) as count:
+        count_beta01(n, ceiling=ceiling)
+    assert (type(count.value), str(count.value)) == (type(stream.value), str(stream.value))
+
+
+def test_unrank_names_every_tree_once():
+    # so a uniform rank gives an exactly uniform tree
+    for n in range(1, 8):
+        ranked = [serialize(unrank(n, r)) for r in range(count_beta01(n))]
+        assert sorted(ranked) == sorted(serialize(t) for t in generate_all_beta01(n))
+    with pytest.raises(ValueError):
+        unrank(3, 3)
