@@ -71,7 +71,6 @@ def _random_labels(rng, parent):
     return built[0]
 
 
-
 def random_uniform_tree(seed, n):
     """A seeded valid labeled tree drawn uniformly from the trees on n nodes (``unrank``)."""
     return unrank(n, random.Random(seed).randrange(sum(_unrank_tables()[1][n - 1])))
@@ -103,8 +102,8 @@ def unrank(n, r):
     the counts of the later parts.  It runs on an explicit stack; nodes come
     in pre-order and are built bottom-up, so any depth works.
     """
-    if not 1 <= n <= UNRANK_MAX_N:
-        raise ValueError(f"unrank serves 1..{UNRANK_MAX_N} nodes, got {n}")
+    if not 1 <= n <= UNRANK_MAX_N or r < 0:
+        raise ValueError(f"unrank serves ranks from 0 on 1..{UNRANK_MAX_N} nodes, got {n}, {r}")
     top, forest = _unrank_tables()
     s, r = _pick(enumerate(forest[n - 1]), r)
     label, kids = [s], [[]]  # by pre-order index; the root is index 0

@@ -313,5 +313,6 @@ def test_unrank_names_every_tree_once():
     for n in range(1, 8):
         ranked = [serialize(unrank(n, r)) for r in range(count_beta01(n))]
         assert sorted(ranked) == sorted(serialize(t) for t in generate_all_beta01(n))
-    with pytest.raises(ValueError):
-        unrank(3, 3)
+    for r in (-1, 3):
+        with pytest.raises(ValueError):
+            unrank(3, r)
