@@ -16,14 +16,15 @@ transitive closure along increasing positions).  Entries are attached to tree
 nodes by the children-first reading order of :mod:`avoid1342.trees`.
 
 ``F`` and the shape map work on arrays indexed by reading position (labels,
-parents, child lists) from start to finish.  ``F_forward`` takes the child
-lists of N(p) from one next-larger-to-the-right pass, checks them exactly,
-computes the labels in one loop, checks validity on the arrays and builds each
-node once.  ``F_inverse`` walks its tree once into the same arrays, and the
-validity check, the shape's values and the minima are all read off them.  A
-block of its greedy is a list of positions with its top last and the largest
-of its run of values, and each value finds its node by one descent from the
-top.
+parents, child lists) from start to finish.  ``F_forward`` reads
+indecomposability off N(p), which has the left-to-right minima of p and so its
+skew cuts, takes the child lists of N(p) from one next-larger-to-the-right
+pass, checks them exactly, computes the labels in one loop, checks validity on
+the arrays and builds each node once.  ``F_inverse`` walks its tree once into
+the same arrays, and the validity check, the shape's values and the minima are
+all read off them.  A block of its greedy is a list of positions with its top
+last and the largest of its run of values, and each value finds its node by
+one descent from the top.
 
 Both directions of ``f`` rest on ``perms._normalize_values``, the 132 fill of
 a run of minima.  A path labeling gives the suffix minima of p, and with
@@ -40,13 +41,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import DomainError, ReconstructionError
-from .perms import (
-    Permutation,
-    _normalize_values,
-    compose_blocks,
-    decompose,
-    is_indecomposable,
-)
+from .perms import Permutation, _normalize_values, compose_blocks, decompose
 from .trees import LabeledPlaneTree, _from_arrays, _labels_valid, _reading_arrays
 
 # ---------------------------------------------------------------------------
@@ -286,9 +281,12 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     (itself included) whose entry reaches some entry past the node's own
     position; the root's label is the sum of its children's labels.
 
-    Everything runs on arrays by reading position: the child lists of N(p)
-    come from one next-larger-to-the-right pass, checked exactly, and one
-    left-to-right loop gives each subtree's first position and each label.
+    Everything runs on arrays by reading position.  A skew cut depends only
+    on the left-to-right minima, which p and N(p) share, and the 132-avoider
+    N(p) is indecomposable iff it ends with n, so that one entry decides the
+    domain after the 1342 test.  The child lists of N(p) come from one
+    next-larger-to-the-right pass, checked exactly, and one left-to-right
+    loop gives each subtree's first position and each label.
     The labels are checked for validity on the arrays, and the tree is built
     once at the end.
 
@@ -302,10 +300,11 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     last_beaten, max_reach = _beat_extents(vals)
     if _contains_1342(vals, last_beaten):
         raise DomainError("permutation contains 1342")
-    if not is_indecomposable(p):
+    shape_vals = _normalize_values(vals)
+    if shape_vals[-1] != n:
         raise DomainError("permutation is decomposable")
 
-    kids = _shape_kids(_normalize_values(vals))
+    kids = _shape_kids(shape_vals)
     first = list(range(n + 1))  # the first position of each subtree
     label = [0] * (n + 1)
     for pos in range(1, n):

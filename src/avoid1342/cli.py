@@ -19,8 +19,11 @@ before any work.  Every brute count runs in this process through
 ``perms.count_avoiders``; ``--workers`` is checked and otherwise ignored.
 ``generate trees --count-only`` reads ``trees.count_beta01``, which builds no
 tree, and ``generate avoiders --count-only`` reads ``perms.count_avoiders``;
-both refuse n above ``--max-brute-n`` as their streams do.  A negative
-``--max-brute-n`` is bad input.
+both refuse n above ``--max-brute-n`` (default ``errors.DEFAULT_CEILING``) as
+their streams do.  A negative ``--max-brute-n`` is bad input.  ``verify
+--suite bijection`` proves the map onto by a count: the images are valid,
+distinct and ``trees.count_beta01`` many; ``counting.cross_check`` checks the
+tree stream.
 """
 from __future__ import annotations
 
@@ -30,6 +33,7 @@ import sys
 
 from . import bijections, counting, perms, series, trees
 from .errors import (
+    DEFAULT_CEILING,
     DomainError,
     IntegralityError,
     InvalidPermutationError,
@@ -37,6 +41,7 @@ from .errors import (
     ReconstructionError,
     ResourceLimitError,
     TreeParseError,
+    refuse_above,
 )
 
 EXIT_OK = 0
@@ -54,9 +59,7 @@ QUADRATIC_CEILING = 2500
 def _check_brute_ceiling(lo: int, hi: int, ceiling: int) -> None:
     """Refuse n = lo..hi before any work, with the enumerator's line for the first n too large."""
     if lo <= hi and hi > ceiling:
-        raise ResourceLimitError(
-            f"exhaustive enumeration refused for n={max(lo, ceiling + 1)} (ceiling {ceiling}); "
-            "raise the ceiling explicitly to proceed")
+        refuse_above(max(lo, ceiling + 1), ceiling)
 
 
 def _counts(args, lo: int, hi: int) -> list[int]:
@@ -170,10 +173,9 @@ def _verify_bijection(max_n: int, ceiling: int) -> list[str]:
             back = bijections.F_inverse(tree)
             if back != p:
                 failures.append(f"n={n}: roundtrip {p} -> {text} -> {back}")
-        everything = {trees.serialize(t)
-                      for t in trees.generate_all_beta01(n, ceiling=ceiling)}
-        if image != everything:
-            failures.append(f"n={n}: image has {len(image)} trees, expected {len(everything)}")
+        expected = trees.count_beta01(n, ceiling=ceiling)
+        if len(image) != expected:
+            failures.append(f"n={n}: image has {len(image)} trees, expected {expected}")
     return failures
 
 
@@ -190,9 +192,10 @@ def _verify_sequences(max_n: int, ceiling: int, inject_error: bool) -> tuple[lis
 
 def _verify_series() -> list[str]:
     failures: list[str] = []
-    if series.H_series_division(200) != series.H_series_rational(200):
+    division = series.H_series_division(200)
+    if division != series.H_series_rational(200):
         failures.append("the two series routes disagree")
-    if not series.verify_H_algebraic(200):
+    if not series.verify_H_algebraic(200, division):
         failures.append("the algebraic identity fails")
     return failures
 
@@ -247,27 +250,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_ceiling(p):
-        p.add_argument("--max-brute-n", type=int, default=perms.DEFAULT_CEILING,
+        p.add_argument("--max-brute-n", type=int, default=DEFAULT_CEILING,
                        help="ceiling for exhaustive work (default %(default)s)")
 
     def add_workers(p):
         p.add_argument("--workers", type=int, default=1,
                        help="accepted and ignored: brute counts run in one process")
 
+    def add_count_args(p, size):
+        p.add_argument("--pattern", required=True)
+        p.add_argument(size, type=int, required=True)
+        p.add_argument("--method", required=True,
+                       choices=["closed", "series", "convolution", "brute"])
+
     p_count = sub.add_parser("count", help="print one exact count")
-    p_count.add_argument("--pattern", required=True)
-    p_count.add_argument("--n", type=int, required=True)
-    p_count.add_argument("--method", required=True,
-                         choices=["closed", "series", "convolution", "brute"])
+    add_count_args(p_count, "--n")
     add_ceiling(p_count)
     add_workers(p_count)
     p_count.set_defaults(func=_cmd_count)
 
     p_seq = sub.add_parser("sequence", help="print a table of counts for n = 1..upto")
-    p_seq.add_argument("--pattern", required=True)
-    p_seq.add_argument("--upto", type=int, required=True)
-    p_seq.add_argument("--method", required=True,
-                       choices=["closed", "series", "convolution", "brute"])
+    add_count_args(p_seq, "--upto")
     p_seq.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p_seq.add_argument("--json", action="store_const", const="json", dest="format",
                        help="shorthand for --format json")

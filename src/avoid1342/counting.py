@@ -29,8 +29,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, exact_quotient
-from .perms import DEFAULT_CEILING, Permutation, count_avoiders
+from .errors import DEFAULT_CEILING, DomainError, exact_quotient
+from .perms import Permutation, count_avoiders
 from .series import F_series, H_series_division, H_series_rational
 from .trees import generate_all_beta01
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the checked exact division."""
+"""Exception types shared across the package, the exhaustive ceiling and the exact division."""
+
+#: Largest n of any exhaustive enumeration (avoiders or trees) unless the caller raises it.
+DEFAULT_CEILING = 12
 
 
 class InvalidPermutationError(ValueError):
@@ -32,6 +35,13 @@ class DomainError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """An exhaustive computation was refused because n exceeds the configured ceiling."""
+
+
+def refuse_above(n: int, ceiling: int, work: str = "exhaustive enumeration") -> None:
+    """Refuse exhaustive ``work`` on an n above the ceiling with one ``ResourceLimitError``."""
+    if n > ceiling:
+        raise ResourceLimitError(f"{work} refused for n={n} (ceiling {ceiling}); "
+                                 "raise the ceiling explicitly to proceed")
 
 
 class IntegralityError(ArithmeticError):

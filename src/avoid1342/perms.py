@@ -10,7 +10,8 @@ shared freely across threads.  ``iter_avoiders`` streams by a prefix walk and
 ``count_avoiders`` counts prefix states one length at a time, so the stream
 and the count are two independent routes.  In both, the pattern, the
 selection and ``first_entry`` prune prefixes, so no finished permutation is
-filtered.
+filtered, and n above ``ceiling`` (default ``errors.DEFAULT_CEILING``) is
+refused by ``errors.refuse_above``.
 
 Neither the walk nor ``contains`` searches for the pattern.  Both carry
 one occurrence state of the pattern q for a prefix: level j holds the
@@ -28,10 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Literal, Sequence, get_args
 
-from .errors import DomainError, InvalidPermutationError, ResourceLimitError
-
-#: Largest n accepted by the exhaustive enumerator unless the caller raises it.
-DEFAULT_CEILING = 12
+from .errors import DEFAULT_CEILING, DomainError, InvalidPermutationError, refuse_above
 
 Selection = Literal["all", "indecomposable", "first_entry_is_1"]
 
@@ -302,11 +300,7 @@ def _prunes(
         raise DomainError("pattern must be nonempty")
     if n < 0:
         raise DomainError(f"n must be nonnegative, got {n}")
-    if n > ceiling:
-        raise ResourceLimitError(
-            f"exhaustive enumeration refused for n={n} (ceiling {ceiling}); "
-            "raise the ceiling explicitly to proceed"
-        )
+    refuse_above(n, ceiling)
     if selection not in get_args(Selection):
         raise DomainError(f"unknown selection {selection!r}")
     if first_entry is not None and not 1 <= first_entry <= n:

@@ -229,10 +229,7 @@ def verify_H_algebraic(order: int, h: TruncatedSeries | None = None) -> bool:
         raise DomainError(f"series order {h.order} is below the requested {order}", index=order)
     # plain ints are much faster than integer-valued Fractions and the
     # comparison is exact either way
-    if all(c.denominator == 1 for c in h.coeffs[: order + 1]):
-        hc: list = [c.numerator for c in h.coeffs[: order + 1]]
-    else:
-        hc = list(h.coeffs[: order + 1])
+    hc = [c.numerator if c.denominator == 1 else c for c in h.coeffs[: order + 1]]
 
     def hof(i: int):
         return hc[i] if 0 <= i <= order else 0

@@ -31,7 +31,8 @@ is exposed separately (``iter_shapes`` + ``iter_valid_labelings``) so callers
 can consume shapes in parallel.  ``count_beta01`` counts the same trees
 without building any: it sums tables of subtrees by size and top label and of
 subtree sequences by size and label sum (``_label_sum_tables``), in O(n^4)
-integer steps, and refuses the same n as the stream.
+integer steps, and refuses the same n as the stream: a negative n, and n above
+``ceiling`` (default ``errors.DEFAULT_CEILING``) through ``errors.refuse_above``.
 """
 from __future__ import annotations
 
@@ -39,10 +40,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .errors import InvalidTreeError, ResourceLimitError, TreeParseError
-
-#: Largest n accepted by the exhaustive tree generator unless the caller raises it.
-DEFAULT_CEILING = 12
+from .errors import (DEFAULT_CEILING, InvalidTreeError, ResourceLimitError, TreeParseError,
+                     refuse_above)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -324,11 +323,7 @@ def _check_ceiling(n: int, ceiling: int) -> None:
     """Refuse a negative n and an n above the ceiling, for the stream and the count alike."""
     if n < 0:
         raise ResourceLimitError(f"n must be nonnegative, got {n}")
-    if n > ceiling:
-        raise ResourceLimitError(
-            f"tree generation refused for n={n} (ceiling {ceiling}); "
-            "raise the ceiling explicitly to proceed"
-        )
+    refuse_above(n, ceiling, "tree generation")
 
 
 def generate_all_beta01(n: int, *, ceiling: int = DEFAULT_CEILING) -> Iterator[LabeledPlaneTree]:

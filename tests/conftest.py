@@ -21,8 +21,8 @@ def perm_strategy(draw, min_n=0, max_n=7):
 
 @pytest.fixture(scope="session")
 def all_perms_by_n():
-    """Every permutation of every length up to 6, as raw tuples."""
-    return {n: list(iter_permutations(range(1, n + 1))) for n in range(0, 7)}
+    """Every permutation of every length up to 7, as raw tuples."""
+    return {n: list(iter_permutations(range(1, n + 1))) for n in range(0, 8)}
 
 
 def random_valid_tree(seed, n, bushy=True):

@@ -37,7 +37,12 @@ from avoid1342 import (
 
 from avoid1342.bijections import _beat_extents, _contains_1342
 from conftest import perm_strategy, random_caterpillar_tree, random_uniform_tree, random_valid_tree
-from oracles import oracle_beats_matrix, oracle_contains, oracle_reaches_matrix
+from oracles import (
+    oracle_beats_matrix,
+    oracle_contains,
+    oracle_is_indecomposable,
+    oracle_reaches_matrix,
+)
 
 P = Permutation.from_text
 P1342 = P("1342")
@@ -235,6 +240,22 @@ def test_F_forward_preconditions():
         F_forward(P("312"))  # decomposable
     with pytest.raises(DomainError):
         F_forward(Permutation(()))
+
+
+def test_F_forward_refuses_1342_first_then_decomposable(all_perms_by_n):
+    # indecomposability is read off N(p), after the 1342 check, as one message each
+    for n in range(1, 8):
+        for vals in all_perms_by_n[n]:
+            if oracle_contains(vals, P1342.values):
+                expected = "permutation contains 1342"
+            elif not oracle_is_indecomposable(vals):
+                expected = "permutation is decomposable"
+            else:
+                assert validate_beta01(F_forward(Permutation(vals)))
+                continue
+            with pytest.raises(DomainError) as refused:
+                F_forward(Permutation(vals))
+            assert type(refused.value) is DomainError and refused.value.args == (expected,), vals
 
 
 def test_F_inverse_examples():

@@ -8,11 +8,13 @@ import pytest
 
 from avoid1342 import (
     IntegralityError,
+    Permutation,
     ReconstructionError,
     ResourceLimitError,
     bijections,
     cli,
     counting,
+    errors,
     perms,
     trees,
 )
@@ -68,6 +70,27 @@ def test_no_module_imports_a_process_pool():
                 continue
             for name in names:
                 assert name.split(".")[0] not in ("concurrent", "multiprocessing"), (path, name)
+
+
+def test_the_ceiling_and_its_refusal_are_written_once():
+    sources = [path.read_text(encoding="utf-8")
+               for path in pathlib.Path(cli.__file__).parent.glob("*.py")]
+    assert sum(text.count("raise the ceiling explicitly") for text in sources) == 1
+    stores = [node for text in sources for node in ast.walk(ast.parse(text))
+              if isinstance(node, ast.Name) and node.id == "DEFAULT_CEILING"
+              and isinstance(node.ctx, ast.Store)]
+    assert len(stores) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--pattern", "1342", "--n", "1", "--method", "brute"),
+    ("sequence", "--pattern", "1342", "--upto", "1", "--method", "brute"),
+    ("generate", "trees", "--n", "1"),
+    ("verify", "--suite", "bijection"),
+])
+def test_max_brute_n_defaults_to_the_one_ceiling(argv):
+    assert cli.build_parser().parse_args(list(argv)).max_brute_n == errors.DEFAULT_CEILING
+    assert perms.DEFAULT_CEILING == trees.DEFAULT_CEILING == errors.DEFAULT_CEILING
 
 
 def test_count_closed_1234(capsys):
@@ -474,6 +497,51 @@ def test_verify_bijection(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "bijection", "--max-n", "7")
     assert code == 0
     assert "OK" in out
+
+
+def verify_bijection_fails(capsys, max_n):
+    code, out, err = run(capsys, "verify", "--suite", "bijection", "--max-n", str(max_n))
+    assert (code, err) == (1, "") and out.endswith("\nverify bijection: FAIL\n")
+    return out.splitlines()
+
+
+def test_verify_bijection_reports_a_failed_roundtrip(capsys, monkeypatch):
+    inverse = bijections.F_inverse
+
+    def swapping(tree):
+        vals = inverse(tree).values
+        return Permutation(vals[1::-1] + vals[2:])
+
+    monkeypatch.setattr(bijections, "F_inverse", swapping)
+    lines = verify_bijection_fails(capsys, 3)
+    assert "FAIL n=2: roundtrip 12 -> 0(0) -> 21" in lines
+    assert not any(line.startswith("FAIL n=1:") for line in lines)
+
+
+def test_verify_bijection_reports_a_collision_and_a_short_image(capsys, monkeypatch):
+    forward, fixed = bijections.F_forward, trees.parse("0(0 0)")
+    monkeypatch.setattr(bijections, "F_forward", lambda p: fixed if len(p) == 3 else forward(p))
+    lines = verify_bijection_fails(capsys, 4)
+    assert lines.count("FAIL n=3: collision at 0(0 0)") == 2
+    assert "FAIL n=3: image has 1 trees, expected 3" in lines
+    assert not any(line.startswith(("FAIL n=2:", "FAIL n=4:")) for line in lines)
+
+
+def test_verify_bijection_counts_the_image_against_count_beta01(capsys, monkeypatch):
+    count = trees.count_beta01
+    monkeypatch.setattr(trees, "count_beta01", lambda n, **kwargs: count(n, **kwargs) + 1)
+    lines = verify_bijection_fails(capsys, 4)
+    assert lines == [f"FAIL n={n}: image has {t} trees, expected {t + 1}"
+                     for n, t in zip(range(1, 5), [1, 1, 3, 12])] + ["verify bijection: FAIL"]
+
+
+def test_verify_bijection_builds_no_tree_stream(capsys, monkeypatch):
+    def refusing(*args, **kwargs):
+        raise AssertionError("the suite streamed the trees")
+
+    monkeypatch.setattr(trees, "generate_all_beta01", refusing)
+    assert run(capsys, "verify", "--suite", "bijection", "--max-n", "6") == (
+        0, "verify bijection: OK\n", "")
 
 
 def test_verify_all_trivial(capsys):
