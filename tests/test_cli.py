@@ -80,6 +80,7 @@ def test_the_ceiling_and_its_refusal_are_written_once():
               if isinstance(node, ast.Name) and node.id == "DEFAULT_CEILING"
               and isinstance(node.ctx, ast.Store)]
     assert len(stores) == 1
+    assert perms.DEFAULT_CEILING == trees.DEFAULT_CEILING == errors.DEFAULT_CEILING
 
 
 @pytest.mark.parametrize("argv", [
@@ -90,7 +91,6 @@ def test_the_ceiling_and_its_refusal_are_written_once():
 ])
 def test_max_brute_n_defaults_to_the_one_ceiling(argv):
     assert cli.build_parser().parse_args(list(argv)).max_brute_n == errors.DEFAULT_CEILING
-    assert perms.DEFAULT_CEILING == trees.DEFAULT_CEILING == errors.DEFAULT_CEILING
 
 
 def test_count_closed_1234(capsys):
