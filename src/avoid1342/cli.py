@@ -123,7 +123,13 @@ def _cmd_map(args) -> int:
         forest = bijections.forest_forward(perms.Permutation.from_text(args.input))
         print(",".join(trees.serialize(t) for t in forest))
     else:  # forest-to-perm
-        forest = [trees.parse(part) for part in args.input.split(",")]
+        forest, start = [], 0
+        for part in args.input.split(","):
+            try:
+                forest.append(trees.parse(part))
+            except TreeParseError as exc:  # report the offset in the whole input
+                raise TreeParseError(exc.reason, start + exc.position) from None
+            start += len(part) + 1
         print(bijections.forest_inverse(forest))
     return EXIT_OK
 

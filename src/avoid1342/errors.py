@@ -13,11 +13,11 @@ class InvalidTreeError(ValueError):
 
 
 class TreeParseError(ValueError):
-    """Raised on malformed tree text. ``position`` is the 0-based offset of the error."""
+    """Raised on malformed tree text: ``reason`` at ``position``, the error's 0-based offset."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+    def __init__(self, reason: str, position: int):
+        super().__init__(f"{reason} (at position {position})")
+        self.reason, self.position = reason, position
 
 
 class DomainError(ValueError):

@@ -13,21 +13,34 @@ selection and ``first_entry`` prune prefixes, so no finished permutation is
 filtered, and n above ``ceiling`` (default ``errors.DEFAULT_CEILING``) is
 refused by ``errors.refuse_above``.
 
-Neither the walk nor ``contains`` searches for the pattern.  Both carry
-one occurrence state of the pattern q for a prefix: level j holds the
-occurrences of q[:j] in the prefix, the last level is kept only as the
-bitmask ``forbid`` of the values that would complete an occurrence, and
-the one below it as ``pending``.  ``_occurrence_state`` sets it up and
-returns the one step that appends a value to the prefix.  The walk skips a
-candidate in ``forbid`` before it is appended and restores the state when
-it backs up; ``contains`` takes the step once per entry of its one
-permutation and stops at the first value in ``forbid``.
+Neither the walk nor ``contains`` searches for the pattern, and neither
+does the count.  Each carries the occurrences of the prefixes q[:j] of the
+pattern q in its prefix, one level per j, and keeps only those that can
+still matter.  The relevant gaps of an occurrence t of q[:j] are those
+that hold a later entry of q; occurrence u of the same level dominates t
+when each relevant gap of t lies inside u's gap with the same index, and
+then every completion of t also completes u.  ``_order`` reads off a
+level's relevant boundaries and dominance order once per pattern.  So the
+count masks every boundary that bounds no relevant gap and drops every
+dominated occurrence before a state becomes a layer key, and the walk's
+step keeps one occurrence per key of a level, replacing it when a new one
+dominates it.  Levels whose dominance is equality are left alone.  For the
+pattern 12...k that leaves one occurrence per level.
+
+The walk and ``contains`` share one occurrence state: the last level is
+kept only as the bitmask ``forbid`` of the values that would complete an
+occurrence, and the one below it as ``pending``.  ``_occurrence_state`` sets
+it up and returns the one step that appends a value to the prefix.  The
+walk skips a candidate in ``forbid`` before it is appended and restores the
+state when it backs up; ``contains`` takes the step once per entry of its
+one permutation and stops at the first value in ``forbid``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Literal, Sequence, get_args
+from operator import itemgetter
+from typing import Iterable, Iterator, Literal, Sequence, get_args
 
 from .errors import DEFAULT_CEILING, DomainError, InvalidPermutationError, refuse_above
 
@@ -66,7 +79,12 @@ class Permutation:
         parts = text.split(",") if "," in text else list(text)
         if not all(part.isascii() and part.isdigit() for part in parts):  # not all that int() reads
             raise InvalidPermutationError(f"unreadable permutation text: {text!r}")
-        return cls(tuple(int(part) for part in parts))
+        try:
+            values = tuple(int(part) for part in parts)
+        except ValueError:  # a run past the interpreter's cap on digits
+            longest = max(len(part) for part in parts)
+            raise InvalidPermutationError(f"an entry of {longest} digits is too long to read") from None
+        return cls(values)
 
     def __str__(self) -> str:
         if len(self.values) <= 9:
@@ -126,11 +144,14 @@ def contains(p: Permutation, q: Permutation) -> bool:
     One left-to-right pass over p.  It takes the walk's occurrence step
     (``_occurrence_state``) once per entry and stops at the first value in
     ``forbid``; a permutation has no backtracking, so nothing is copied or
-    truncated.  On a 2-core 2 GHz machine it takes 0.13 s for 1342 on a
-    1342-avoider of length 2000 from a random recursive tree, and as long
-    for 132 on its ``normalize`` representative.  The slowest patterns of
-    length 4 on the identity or the reverse take 0.08 s at n = 300, 1.3 s
-    at n = 1000 and 9 s at n = 2000.
+    truncated.  It drops dominated occurrences as the walk does.  On a
+    2-core 2 GHz machine it takes 0.01 s for 1342 on a 1342-avoider of
+    length 2000 from a random recursive tree, and as long for 132 on its
+    ``normalize`` representative; 1243 on the identity of length 2000
+    takes 0.02 s.  The slowest patterns of length 4 on the identity or the
+    reverse take 0.06 s at n = 300, 1.0 s at n = 1000 and 3.4 s at
+    n = 2000: where dominance at a level is equality, as at q[:1] when
+    q[0] is neither 1 nor len(q), every entry stays there.
 
     >>> contains(Permutation.from_text("361542"), Permutation.from_text("1342"))
     False
@@ -145,12 +166,13 @@ def contains(p: Permutation, q: Permutation) -> bool:
         return False
     _, pending, forbid, extend = _occurrence_state(n, q)
     used = 0
+    replaced: list = []  # never read: nothing backs up
     for c, v in enumerate(vals, start=1):
         bit = 1 << v
         if forbid & bit:
             return True
         used |= bit
-        forbid = extend(v, c, used, forbid, pending)
+        forbid = extend(v, c, used, forbid, pending, replaced)
     return False
 
 
@@ -316,11 +338,79 @@ def _gap(t: tuple[int, ...], r: int) -> int:
     return (1 << t[r + 1]) - (1 << (t[r] + 1))
 
 
+def _order(q: Sequence[int], j: int) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    """How an occurrence t of q[:j] (sorted, framed as t[0] and t[j + 1]) can matter.
+
+    Its relevant gaps are those that hold a later entry of q; only their
+    boundaries t[1..j] are read.  Returns the boundaries that bound no
+    relevant gap (masked), those between two relevant gaps (same), and the
+    other boundaries b with a sign: u dominates t, i.e. each relevant gap of
+    t lies inside u's, iff u[b] == t[b] on ``same`` and sign * u[b] <=
+    sign * t[b] on the rest.  Without signed boundaries dominance is equality.
+    """
+    relevant = {sum(1 for a in range(j) if q[a] < q[i]) for i in range(j, len(q))}
+    masked, same, signed = [], [], []
+    for b in range(1, j + 1):
+        if b - 1 in relevant and b in relevant:
+            same.append(b)
+        elif b in relevant:  # the gap above b: u's starts no higher
+            signed.append((b, 1))
+        elif b - 1 in relevant:  # the gap below b: u's ends no lower
+            signed.append((b, -1))
+        else:
+            masked.append(b)
+    return masked, same, signed
+
+
+def _no_key(t: tuple[int, ...]) -> None:
+    return None
+
+
+def _dominant(same: list[int], signed: list[tuple[int, int]]):
+    """A function that keeps the distinct occurrences of a level that no other one dominates.
+
+    ``same`` and ``signed`` are the level's dominance order (see ``_order``);
+    the occurrences it is given are masked, so equal relevant boundaries mean
+    equal occurrences.
+    """
+    if not signed:  # dominance is equality
+        return set
+    if len(signed) == 1:  # the best on the signed boundary, per key
+        (b, sign), = signed
+        key = itemgetter(*same) if same else _no_key
+
+        def best(occs: list[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
+            kept: dict = {}
+            for s in occs:
+                e = key(s)
+                u = kept.get(e)
+                if u is None or sign * s[b] < sign * u[b]:
+                    kept[e] = s
+            return kept.values()
+
+        return best
+
+    def front(occs: list[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
+        # a dominator sorts before what it dominates
+        kept: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
+        for c, e, s in sorted(
+            (tuple([sign * s[b] for b, sign in signed]), tuple([s[a] for a in same]), s)
+            for s in occs
+        ):
+            if not any(e == f and all(x <= y for x, y in zip(d, c)) for d, f, _ in kept):
+                kept.append((c, e, s))
+        return [s for _, _, s in kept]
+
+    return front
+
+
 def _occurrence_state(n: int, q: Sequence[int]):
     """The occurrence state (see ``_walk``) of the empty prefix for q in 1..n, and its step.
 
-    ``extend(v, c, used, forbid, pending) -> forbid`` appends v as entry c of a
-    prefix whose values are then ``used``; levels and pending change in place.
+    ``extend(v, c, used, forbid, pending, undo) -> forbid`` appends v as entry
+    c of a prefix whose values are then ``used``; levels and pending change in
+    place, and each occurrence that a dominating one replaces is logged to
+    ``undo`` as (level, index, occurrence).
     """
     k = len(q)
     ranks = [sum(1 for a in range(j) if q[a] < q[j]) for j in range(k)]
@@ -334,8 +424,20 @@ def _occurrence_state(n: int, q: Sequence[int]):
     R, H = (ranks[k - 2], ranks[k - 1]) if k > 1 else (0, 0)
     below, above = H == R, H == R + 1  # the gap of q[-1] ends or starts at w
     fixed = H if H < R else H - 1  # otherwise it is t's gap at this index
+    # then the one relevant gap of level k - 2 is its gap for q[-2]; at a
+    # frame, those gaps nest, so pending keeps only the largest
+    nested = (below or above) and R in (0, k - 2)
+    # level j keeps one occurrence per key: its boundaries in the dominance
+    # order but one signed one b, the new entry's if that is signed
+    slots: list = [None] * (k - 2)
+    for j in range(1, k - 2):
+        _, same, signed = _order(q, j)
+        if signed:
+            b, sign = next((s for s in signed if s[0] == ranks[j - 1] + 1), signed[-1])
+            keys = same + [a for a, _ in signed if a != b]
+            slots[j] = (itemgetter(*keys) if keys else _no_key, b, sign, {})
 
-    def extend(v: int, c: int, used: int, forbid: int, pending: dict[int, int]) -> int:
+    def extend(v: int, c: int, used: int, forbid: int, pending: dict[int, int], undo: list) -> int:
         bit = 1 << v
         for g in [g for g in pending if g & bit]:
             if below:
@@ -352,12 +454,32 @@ def _occurrence_state(n: int, q: Sequence[int]):
                 if t[r] < v < t[r + 1]:
                     t = t[:r + 1] + (v,) + t[r + 1:]
                     g = _gap(t, ranks[j + 1]) & avail
-                    if g and j < k - 3:
-                        levels[j + 1].append(t)
-                    elif g:
-                        part = g if below or above else _gap(t, fixed) & avail
-                        if part:
-                            pending[g] = pending.get(g, 0) | part
+                    if not g:
+                        continue
+                    if j < k - 3:
+                        level, slot = levels[j + 1], slots[j + 1]
+                        if slot is None:
+                            level.append(t)
+                            continue
+                        key, b, sign, index = slot
+                        kt = key(t)
+                        i = index.get(kt, len(level))
+                        if i >= len(level) or key(level[i]) != kt:  # none has t's key
+                            index[kt] = len(level)
+                            level.append(t)
+                        elif sign * (t[b] - level[i][b]) < 0:  # t dominates
+                            undo.append((level, i, level[i]))
+                            level[i] = t
+                        continue
+                    part = g if below or above else _gap(t, fixed) & avail
+                    if not part:
+                        continue
+                    if nested and pending:
+                        (old,) = pending
+                        if not g & ~old:
+                            continue
+                        del pending[old]
+                    pending[g] = pending.get(g, 0) | part
         return forbid
 
     return levels, pending, forbid, extend
@@ -374,14 +496,22 @@ def _walk(
     a proper prefix of length c holds exactly the top c values, i.e. its
     minimum is n - c + 1: every extension keeps that cut.
 
-    The occurrence state, for k = len(q): level j holds the occurrences of
+    The occurrence state, for k = len(q): level j holds occurrences of
     q[:j] in the prefix, each as its sorted values framed by 0 and n + 1
     (level 0 is the one empty occurrence).  An occurrence t of q[:j] takes
     as its next entry exactly the values of its gap for q[j], the open
     interval (t[r], t[r + 1]) where r = ranks[j] counts the entries of q[:j]
-    below q[j].  Appending v therefore adds t with v inserted to level
-    j + 1 for every t in level j whose gap holds v.  Levels only grow along
-    a path, so backing up truncates each to its length at that depth.
+    below q[j].  Appending v therefore offers t with v inserted to level
+    j + 1 for every t in level j whose gap holds v.  A level whose
+    dominance is not equality (see ``_order``) keeps one occurrence per key:
+    its boundaries in the dominance order but one, the one where the new
+    entry goes when it is signed.  An offered occurrence is dropped if the
+    kept one with its key dominates it, and replaces that one if it
+    dominates it; with one signed boundary no kept occurrence is dominated,
+    with more a dominated one can stay.  Finding the key costs O(1).  Levels
+    only grow along a path, and a replaced occurrence is logged, so backing
+    up restores the logged ones and truncates each level to its length at
+    that depth.
 
     The top two levels are folded into bitmasks.  Level k - 1 is
     ``forbid``, the union of its gaps for q[-1]: a candidate in ``forbid``
@@ -390,10 +520,11 @@ def _walk(
     there adds to ``forbid``.  That part is fixed by the occurrence, so
     occurrences with one gap merge, and it is added once -- unless q[-1]
     is next to q[-2] in value: then it is the part of the gap beyond the
-    value, and the gap stays pending.  Since a gap can leave ``pending``, each
-    depth keeps its own copy.  No occurrence is kept whose gap (or
-    pending part) holds no value that is neither used nor forbidden, or that
-    is made too late to forbid a position <= n.
+    value, and the gap stays pending.  If that gap also has a frame as one
+    end, the pending gaps nest, and only the largest is kept.  Since a gap
+    can leave ``pending``, each depth keeps its own copy.  No occurrence is
+    kept whose gap (or pending part) holds no value that is neither used
+    nor forbidden, or that is made too late to forbid a position <= n.
 
     Appending a value is the one step ``extend`` that ``_occurrence_state``
     returns and ``contains`` takes too; the walk saves and restores around it.
@@ -406,7 +537,8 @@ def _walk(
         first = range(1, n + 1)
     levels, pending, forbid, extend = _occurrence_state(n, q)
     vals: list[int] = []
-    saved: list[tuple[int, int, list[int], dict[int, int]]] = []
+    saved: list[tuple[int, int, list[int], int, dict[int, int]]] = []
+    undo: list[tuple[list, int, tuple[int, ...]]] = []
     used = low = 0  # bitmask of the prefix's values, its minimum once nonempty
     v, stop = first.start, first.stop  # next candidate and bound at this depth
     while True:
@@ -416,7 +548,10 @@ def _walk(
                 return
             v = vals.pop()
             used ^= 1 << v
-            forbid, low, lengths, pending = saved.pop()
+            forbid, low, lengths, replaced, pending = saved.pop()
+            while len(undo) > replaced:
+                level, i, t = undo.pop()
+                level[i] = t
             for level, length in zip(levels, lengths):
                 del level[length:]
             v += 1
@@ -434,10 +569,10 @@ def _walk(
         if indecomposable and new_low == n - c + 1:
             v += 1
             continue
-        saved.append((forbid, low, [len(level) for level in levels], pending))
+        saved.append((forbid, low, [len(level) for level in levels], len(undo), pending))
         pending = dict(pending)
         used |= 1 << v
-        forbid = extend(v, c, used, forbid, pending)
+        forbid = extend(v, c, used, forbid, pending, undo)
         vals.append(v)
         low = new_low
         # a forbidden value left must still be placed: back up at once
@@ -478,14 +613,18 @@ def count_avoiders(
     """Exact number of n-permutations avoiding ``pattern`` that pass ``selection``.
 
     Counts prefix states, not avoiders.  With m values left, a prefix's
-    completions depend only on its occurrences of q[:j] (j < k = len(q)),
-    each stored as the number of values left below each of its values,
-    framed by 0 and m; only occurrences whose gap for q[j] is nonempty are
-    kept.  ``"indecomposable"`` adds the number of values left below the
-    prefix minimum.  One layer ``{state: prefixes}`` steps from m = n to 0.
-    Appending the x-th smallest value left extends every occurrence whose
-    gap holds x and lowers every value above it; the new state is dead if
-    it holds an occurrence of q[:k - 1], whose gap must be filled later.
+    completions depend only on its occurrences of q[:j] (0 < j < k =
+    len(q)), each stored as the number of values left below each of its
+    values, framed by 0 and m.  Only occurrences whose gap for q[j] is
+    nonempty are kept, a boundary that bounds no relevant gap is masked as
+    -1, and a dominated occurrence is dropped (see ``_order``), so that more
+    prefixes share a state.  ``"indecomposable"`` adds the number of values
+    left below the prefix minimum.  One layer ``{state: prefixes}`` steps
+    from m = n to 0.  Appending the x-th smallest value left extends every
+    occurrence whose gap holds x (and the empty one) and lowers every value
+    above it; the new state is dead if it holds an occurrence of q[:k - 1],
+    whose gap must be filled later.  The walk of ``iter_avoiders`` is a
+    separate route to the same numbers.
 
     >>> count_avoiders(6, Permutation.from_text("1342"))
     512
@@ -494,30 +633,51 @@ def count_avoiders(
     if n == 0:  # the empty permutation has no first entry and no blocks
         return int(first is None and not indecomposable)
     q, k = pattern.values, len(pattern)
+    if k == 1:  # the empty occurrence is already dead
+        return 0
     ranks = [sum(1 for a in range(j) if q[a] < q[j]) for j in range(k)]
-    # for k = 1 the empty occurrence is already dead
-    layer = {(n, ((0, n),)): 1} if k > 1 else {}
+    orders = [_order(q, j) for j in range(k - 1)]
+    masks = [[]]  # per level, the boundaries masked there first
+    for j in range(1, k - 1):
+        p = ranks[j - 1] + 1  # the index of the new entry
+        masked_before = {b + (b >= p) for b in orders[j - 1][0]}
+        masks.append([b for b in orders[j][0] if b not in masked_before])
+    dominant = [_dominant(same, signed) for _, same, signed in orders[1:]]
+    layer = {(n, ((),) * (k - 2)): 1}
     for m in range(n, 0, -1):
         nxt: dict[tuple, int] = {}
-        for (low, occs), ways in layer.items():
+        empty = ((0, m),)
+        for (low, levels), ways in layer.items():
             for x in range(1, m + 1) if m < n or first is None else first:
                 new_low = x - 1 if x <= low else low
                 if indecomposable and 0 < new_low == m - 1:  # a proper prefix of top values
                     continue
-                state, dead = set(), False
-                for t in occs:
-                    r = ranks[len(t) - 2]
-                    s = tuple(b - (b >= x) for b in t)
-                    if s[r] < s[r + 1]:
-                        state.add(s)
-                    if t[r] < x <= t[r + 1]:
-                        s = s[:r + 1] + (x - 1,) + s[r + 1:]
-                        j = len(s) - 2
-                        if s[ranks[j]] < s[ranks[j] + 1]:
-                            dead |= j == k - 1
-                            state.add(s)
-                if not dead:
-                    key = (new_low if indecomposable else 0, tuple(sorted(state)))
-                    nxt[key] = nxt.get(key, 0) + ways
+                new: list[list[tuple[int, ...]]] = [[] for _ in levels]
+                dead = False
+                for j, occs in enumerate((empty, *levels)):
+                    r, r1 = ranks[j], ranks[j + 1]
+                    for t in occs:
+                        s = tuple([b - 1 if b >= x else b for b in t])
+                        if j and s[r] < s[r + 1]:
+                            new[j - 1].append(s)
+                        if t[r] < x <= t[r + 1]:
+                            s = s[:r + 1] + (x - 1,) + s[r + 1:]
+                            if s[r1] < s[r1 + 1]:
+                                if j == k - 2:
+                                    dead = True
+                                    break
+                                for b in masks[j + 1]:
+                                    s = s[:b] + (-1,) + s[b + 1:]
+                                new[j].append(s)
+                    if dead:
+                        break
+                if dead:
+                    continue
+                state = tuple(
+                    tuple(sorted(keep(occs))) if len(occs) > 1 else tuple(occs)
+                    for keep, occs in zip(dominant, new)
+                )
+                key = (new_low if indecomposable else 0, state)
+                nxt[key] = nxt.get(key, 0) + ways
         layer = nxt
     return sum(layer.values())

@@ -31,8 +31,9 @@ is exposed separately (``iter_shapes`` + ``iter_valid_labelings``) so callers
 can consume shapes in parallel.  ``count_beta01`` counts the same trees
 without building any: it sums tables of subtrees by size and top label and of
 subtree sequences by size and label sum (``_label_sum_tables``), in O(n^4)
-integer steps, and refuses the same n as the stream: a negative n, and n above
-``ceiling`` (default ``errors.DEFAULT_CEILING``) through ``errors.refuse_above``.
+integer steps, and refuses the same n as the stream: a negative n with
+``DomainError``, as ``perms`` does, and n above ``ceiling`` (default
+``errors.DEFAULT_CEILING``) through ``errors.refuse_above``.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator
 
-from .errors import (DEFAULT_CEILING, InvalidTreeError, ResourceLimitError, TreeParseError,
+from .errors import (DEFAULT_CEILING, DomainError, InvalidTreeError, TreeParseError,
                      refuse_above)
 
 
@@ -187,7 +188,11 @@ def parse(text: str) -> LabeledPlaneTree:
         if len(digits) > 1 and digits[0] == "0":
             pos = start
             fail("leading zero in label")
-        return int(digits)
+        try:
+            return int(digits)
+        except ValueError:  # past the interpreter's cap on digits
+            pos = start
+            fail(f"label of {len(digits)} digits is too long to read")
 
     open_nodes: list[tuple[int, list[LabeledPlaneTree]]] = []  # label, children read so far
     while True:
@@ -322,7 +327,7 @@ def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
 def _check_ceiling(n: int, ceiling: int) -> None:
     """Refuse a negative n and an n above the ceiling, for the stream and the count alike."""
     if n < 0:
-        raise ResourceLimitError(f"n must be nonnegative, got {n}")
+        raise DomainError(f"n must be nonnegative, got {n}")
     refuse_above(n, ceiling, "tree generation")
 
 

@@ -30,6 +30,33 @@ def oracle_avoiders(n, pattern):
     return [p for p in permutations(range(1, n + 1)) if not oracle_contains(p, pattern)]
 
 
+def oracle_increasing_avoiders(n, k):
+    """Number of n-permutations avoiding 12...k: the sum of (f^λ)² over λ ⊢ n with under k columns.
+
+    By the Robinson-Schensted correspondence, a permutation's longest
+    increasing subsequence is the first row of its shape λ, and f^λ (the
+    number of standard tableaux of shape λ) comes from the hook-length formula.
+    """
+    def partitions(m, largest):
+        if m == 0:
+            yield ()
+            return
+        for part in range(min(m, largest), 0, -1):
+            for rest in partitions(m - part, part):
+                yield (part,) + rest
+
+    total = 0
+    for shape in partitions(n, k - 1):
+        hooks = 1
+        for i, row in enumerate(shape):
+            for j in range(row):
+                below = sum(1 for other in shape[i + 1:] if other > j)
+                hooks *= row - j + below
+        assert factorial(n) % hooks == 0
+        total += (factorial(n) // hooks) ** 2
+    return total
+
+
 def oracle_is_indecomposable(vals):
     n = len(vals)
     if n == 0:

@@ -344,6 +344,13 @@ def test_map_forest(capsys):
     assert (code, out) == (0, "312\n")
 
 
+def test_map_forest_reports_the_offset_in_the_whole_input(capsys):
+    code, out, err = run(capsys, "map", "forest-to-perm", "0,,0")
+    assert (code, out, err) == (2, "", "error: expected a label (at position 2)\n")
+    code, out, err = run(capsys, "map", "forest-to-perm", "0,0(0),1(0")
+    assert (code, out, err) == (2, "", "error: expected ')' or ' ' (at position 10)\n")
+
+
 def test_map_error_reasons_are_specific(capsys):
     code, _, err = run(capsys, "map", "perm-to-tree", "1342")
     assert code == 2 and "1342" in err

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from itertools import permutations as iter_permutations
 from math import factorial
@@ -34,6 +35,7 @@ from oracles import (
     oracle_avoiders,
     oracle_contains,
     oracle_count_occurrences,
+    oracle_increasing_avoiders,
     oracle_is_indecomposable,
     oracle_minima,
 )
@@ -84,6 +86,18 @@ def test_text_rejects_garbage():
 def test_text_accepts_only_ascii_digits(text):
     with pytest.raises(InvalidPermutationError):
         P(text)
+
+
+@pytest.mark.parametrize("text", ["1," + "2" * 4301, "9" * 4400 + ",1"], ids=["last", "first"])
+def test_text_refuses_an_entry_past_the_digit_limit(text):
+    # Python refuses int() on a run of more than 4 300 digits by default
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(InvalidPermutationError):
+            P(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------- containment
@@ -403,6 +417,47 @@ def test_count_pinned_beyond_the_walk():
     assert count_avoiders(12, P1342) == 22214707
     # one loop over layers: no recursion depth and no size limit in the state
     assert count_avoiders(1500, P("21"), ceiling=1500) == 1
+
+
+# ---------------------------------------------------------------- reduced occurrence states
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_count_of_increasing_pattern_avoiders_matches_rsk(k):
+    identity = Permutation(tuple(range(1, k + 1)))
+    for n in range(0, 11):
+        assert count_avoiders(n, identity) == oracle_increasing_avoiders(n, k), n
+
+
+def test_count_avoiding_1234567_at_twelve_is_fast():
+    # every occurrence of 12...j but the one with the smallest top is dominated
+    start = time.perf_counter()
+    count = count_avoiders(12, P("1234567"))
+    elapsed = time.perf_counter() - start
+    assert count == oracle_increasing_avoiders(12, 7) == 457647966
+    assert elapsed < 5.0, elapsed
+
+
+def test_contains_1243_on_a_long_identity_is_fast():
+    # the 1s and the 12s each reduce to one occurrence: the smallest value
+    start = time.perf_counter()
+    found = contains(Permutation(tuple(range(1, 2001))), P("1243"))
+    elapsed = time.perf_counter() - start
+    assert not found
+    assert elapsed < 2.0, elapsed
+
+
+_PATTERNS_OF_FIVE = ["".join(map(str, q)) for q in iter_permutations(range(1, 6))]
+
+
+@pytest.mark.parametrize("pattern", _PATTERNS_OF_FIVE)
+def test_every_pattern_of_five_against_full_scan(pattern):
+    q = P(pattern)
+    for n in range(0, 7):
+        avoiders = oracle_avoiders(n, q.values)
+        for selection, keep in _ORACLE_SELECTIONS.items():
+            expected = [vals for vals in avoiders if keep(vals)]
+            assert [p.values for p in iter_avoiders(n, q, selection)] == expected, (n, selection)
+            assert count_avoiders(n, q, selection) == len(expected), (n, selection)
 
 
 def test_walk_backs_up_from_a_dead_prefix():

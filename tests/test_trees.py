@@ -4,12 +4,15 @@ from itertools import product
 import pytest
 
 from avoid1342 import (
+    DomainError,
     InvalidTreeError,
     LabeledPlaneTree,
+    Permutation,
     ResourceLimitError,
     TreeParseError,
     catalan,
     classify_shape,
+    count_avoiders,
     count_beta01,
     generate_all_beta01,
     indecomposable_count,
@@ -99,6 +102,20 @@ def test_parse_accepts_only_ascii_digits(text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize("text,position", [("7" * 4301, 0), ("0(0 " + "1" * 5000 + ")", 4)],
+                         ids=["root", "second-child"])
+def test_parse_reports_a_label_past_the_digit_limit(text, position):
+    # Python refuses int() on a run of more than 4 300 digits by default
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(TreeParseError) as err:
+            parse(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.position == position
+
+
 def test_postorder_contract():
     nodes = postorder_positions(parse("0(0 0)"))
     assert [node.label for node in nodes] == [0, 0, 0]
@@ -173,7 +190,7 @@ def test_generate_edge_cases():
     assert [serialize(t) for t in generate_all_beta01(1)] == ["0"]
     with pytest.raises(ResourceLimitError):
         next(generate_all_beta01(13))
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(DomainError):
         next(generate_all_beta01(-1))
 
 
@@ -301,11 +318,22 @@ def test_count_matches_the_closed_form_to_60():
 
 @pytest.mark.parametrize("n,ceiling", [(13, 12), (9, 8), (1, 0), (-1, 12), (0, -1)])
 def test_count_refuses_what_the_stream_refuses(n, ceiling):
-    with pytest.raises(ResourceLimitError) as stream:
+    error = DomainError if n < 0 else ResourceLimitError
+    with pytest.raises(error) as stream:
         next(generate_all_beta01(n, ceiling=ceiling))
-    with pytest.raises(ResourceLimitError) as count:
+    with pytest.raises(error) as count:
         count_beta01(n, ceiling=ceiling)
     assert (type(count.value), str(count.value)) == (type(stream.value), str(stream.value))
+
+
+def test_negative_n_is_a_domain_error_as_in_perms():
+    with pytest.raises(DomainError) as avoiders:
+        count_avoiders(-1, Permutation.from_text("1342"))
+    with pytest.raises(DomainError) as count:
+        count_beta01(-1)
+    with pytest.raises(DomainError) as stream:
+        next(generate_all_beta01(-1, ceiling=0))
+    assert str(count.value) == str(stream.value) == str(avoiders.value) == "n must be nonnegative, got -1"
 
 
 def test_unrank_names_every_tree_once():
