@@ -20,10 +20,12 @@ still matter.  The relevant gaps of an occurrence t of q[:j] are those
 that hold a later entry of q; occurrence u of the same level dominates t
 when each relevant gap of t lies inside u's gap with the same index, and
 then every completion of t also completes u.  ``_order`` reads off a
-level's relevant boundaries and dominance order once per pattern.  So the
-count masks every boundary that bounds no relevant gap and drops every
-dominated occurrence before a state becomes a layer key, and the walk's
-step keeps one occurrence per key of a level, replacing it when a new one
+level's relevant boundaries and its rule once per pattern: the key is all
+but one of the boundaries that dominance reads, and of the occurrences
+with one key, the best on the remaining boundary dominates the rest.  So
+the count masks every boundary that bounds no relevant gap and keeps one
+occurrence per key before a state becomes a layer key, and the walk's step
+keeps one occurrence per key of a level, replacing it when a new one
 dominates it.  Levels whose dominance is equality are left alone.  For the
 pattern 12...k that leaves one occurrence per level.
 
@@ -338,15 +340,20 @@ def _gap(t: tuple[int, ...], r: int) -> int:
     return (1 << t[r + 1]) - (1 << (t[r] + 1))
 
 
-def _order(q: Sequence[int], j: int) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+def _order(q: Sequence[int], j: int) -> tuple[list[int], tuple | None]:
     """How an occurrence t of q[:j] (sorted, framed as t[0] and t[j + 1]) can matter.
 
     Its relevant gaps are those that hold a later entry of q; only their
-    boundaries t[1..j] are read.  Returns the boundaries that bound no
-    relevant gap (masked), those between two relevant gaps (same), and the
-    other boundaries b with a sign: u dominates t, i.e. each relevant gap of
-    t lies inside u's, iff u[b] == t[b] on ``same`` and sign * u[b] <=
-    sign * t[b] on the rest.  Without signed boundaries dominance is equality.
+    boundaries t[1..j] are read.  u dominates t, i.e. each relevant gap of t
+    lies inside u's, iff u[b] == t[b] where b lies between two relevant
+    gaps and sign * u[b] <= sign * t[b] where b bounds just one, with sign
+    1 if that gap is above b and -1 if below.  Returns the boundaries that
+    bound no relevant gap (masked) and the level's rule for dropping
+    dominated occurrences: ``None`` if no boundary has a sign, so that
+    dominance is equality, else ``(key, b, sign)`` for one signed boundary
+    b, the new entry's if that is signed.  ``key`` reads the other
+    boundaries that are not masked; of the occurrences with one key, the
+    one with the least sign * t[b] dominates the rest.
     """
     relevant = {sum(1 for a in range(j) if q[a] < q[i]) for i in range(j, len(q))}
     masked, same, signed = [], [], []
@@ -359,49 +366,39 @@ def _order(q: Sequence[int], j: int) -> tuple[list[int], list[int], list[tuple[i
             signed.append((b, -1))
         else:
             masked.append(b)
-    return masked, same, signed
+    if not signed:
+        return masked, None
+    new = 1 + sum(1 for a in range(j - 1) if q[a] < q[j - 1])
+    b, sign = next((s for s in signed if s[0] == new), signed[-1])
+    keys = same + [a for a, _ in signed if a != b]
+    return masked, (itemgetter(*keys) if keys else _no_key, b, sign)
 
 
 def _no_key(t: tuple[int, ...]) -> None:
     return None
 
 
-def _dominant(same: list[int], signed: list[tuple[int, int]]):
-    """A function that keeps the distinct occurrences of a level that no other one dominates.
+def _dominant(rule: tuple | None):
+    """A function that keeps one occurrence of a level per key of ``rule`` (see ``_order``).
 
-    ``same`` and ``signed`` are the level's dominance order (see ``_order``);
-    the occurrences it is given are masked, so equal relevant boundaries mean
-    equal occurrences.
+    It keeps the one best on the rule's signed boundary.  The occurrences it
+    is given are masked, so equal keys and boundaries mean equal
+    occurrences.  Where dominance is equality it keeps the distinct ones.
     """
-    if not signed:  # dominance is equality
+    if rule is None:
         return set
-    if len(signed) == 1:  # the best on the signed boundary, per key
-        (b, sign), = signed
-        key = itemgetter(*same) if same else _no_key
+    key, b, sign = rule
 
-        def best(occs: list[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
-            kept: dict = {}
-            for s in occs:
-                e = key(s)
-                u = kept.get(e)
-                if u is None or sign * s[b] < sign * u[b]:
-                    kept[e] = s
-            return kept.values()
+    def best(occs: list[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
+        kept: dict = {}
+        for s in occs:
+            e = key(s)
+            u = kept.get(e)
+            if u is None or sign * s[b] < sign * u[b]:
+                kept[e] = s
+        return kept.values()
 
-        return best
-
-    def front(occs: list[tuple[int, ...]]) -> Iterable[tuple[int, ...]]:
-        # a dominator sorts before what it dominates
-        kept: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
-        for c, e, s in sorted(
-            (tuple([sign * s[b] for b, sign in signed]), tuple([s[a] for a in same]), s)
-            for s in occs
-        ):
-            if not any(e == f and all(x <= y for x, y in zip(d, c)) for d, f, _ in kept):
-                kept.append((c, e, s))
-        return [s for _, _, s in kept]
-
-    return front
+    return best
 
 
 def _occurrence_state(n: int, q: Sequence[int]):
@@ -427,15 +424,12 @@ def _occurrence_state(n: int, q: Sequence[int]):
     # then the one relevant gap of level k - 2 is its gap for q[-2]; at a
     # frame, those gaps nest, so pending keeps only the largest
     nested = (below or above) and R in (0, k - 2)
-    # level j keeps one occurrence per key: its boundaries in the dominance
-    # order but one signed one b, the new entry's if that is signed
+    # level j keeps one occurrence per key of its rule (see ``_order``)
     slots: list = [None] * (k - 2)
     for j in range(1, k - 2):
-        _, same, signed = _order(q, j)
-        if signed:
-            b, sign = next((s for s in signed if s[0] == ranks[j - 1] + 1), signed[-1])
-            keys = same + [a for a, _ in signed if a != b]
-            slots[j] = (itemgetter(*keys) if keys else _no_key, b, sign, {})
+        _, rule = _order(q, j)
+        if rule:
+            slots[j] = (*rule, {})
 
     def extend(v: int, c: int, used: int, forbid: int, pending: dict[int, int], undo: list) -> int:
         bit = 1 << v
@@ -503,9 +497,8 @@ def _walk(
     interval (t[r], t[r + 1]) where r = ranks[j] counts the entries of q[:j]
     below q[j].  Appending v therefore offers t with v inserted to level
     j + 1 for every t in level j whose gap holds v.  A level whose
-    dominance is not equality (see ``_order``) keeps one occurrence per key:
-    its boundaries in the dominance order but one, the one where the new
-    entry goes when it is signed.  An offered occurrence is dropped if the
+    dominance is not equality keeps one occurrence per key of its rule (see
+    ``_order``), as the count does.  An offered occurrence is dropped if the
     kept one with its key dominates it, and replaces that one if it
     dominates it; with one signed boundary no kept occurrence is dominated,
     with more a dominated one can stay.  Finding the key costs O(1).  Levels
@@ -617,7 +610,8 @@ def count_avoiders(
     len(q)), each stored as the number of values left below each of its
     values, framed by 0 and m.  Only occurrences whose gap for q[j] is
     nonempty are kept, a boundary that bounds no relevant gap is masked as
-    -1, and a dominated occurrence is dropped (see ``_order``), so that more
+    -1, and of the occurrences with one key of the level's rule only the
+    one that dominates the others is kept (see ``_order``), so that more
     prefixes share a state.  ``"indecomposable"`` adds the number of values
     left below the prefix minimum.  One layer ``{state: prefixes}`` steps
     from m = n to 0.  Appending the x-th smallest value left extends every
@@ -642,7 +636,7 @@ def count_avoiders(
         p = ranks[j - 1] + 1  # the index of the new entry
         masked_before = {b + (b >= p) for b in orders[j - 1][0]}
         masks.append([b for b in orders[j][0] if b not in masked_before])
-    dominant = [_dominant(same, signed) for _, same, signed in orders[1:]]
+    dominant = [_dominant(rule) for _, rule in orders[1:]]
     layer = {(n, ((),) * (k - 2)): 1}
     for m in range(n, 0, -1):
         nxt: dict[tuple, int] = {}
