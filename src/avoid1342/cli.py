@@ -24,14 +24,19 @@ their streams do.  A negative ``--max-brute-n`` is bad input.  ``verify
 --suite bijection`` proves the map onto by a count: the images are valid,
 distinct and ``trees.count_beta01`` many; ``counting.cross_check`` checks the
 tree stream.
+
+Start-up is most of a short call's cost, so each command imports only the
+layers it runs: ``normalize``, the brute counts and ``generate avoiders``
+load ``perms``; ``generate trees`` loads ``trees``; ``map`` and ``verify
+--suite bijection`` load ``perms``, ``trees`` and ``bijections``; the other
+counts and suites load ``counting`` and ``series`` (which load ``perms`` and
+``trees``).  ``json`` is imported only where JSON is written.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import bijections, counting, perms, series, trees
 from .errors import (
     DEFAULT_CEILING,
     DomainError,
@@ -65,10 +70,12 @@ def _check_brute_ceiling(lo: int, hi: int, ceiling: int) -> None:
 def _counts(args, lo: int, hi: int) -> list[int]:
     """Counts for n = lo..hi; the order of the checks is the precedence of the refusals."""
     if args.method == "brute":
+        from . import perms
         p = perms.Permutation.from_text(args.pattern)
         if p.values:  # count_avoiders refuses an empty pattern first
             _check_brute_ceiling(lo, hi, args.max_brute_n)
         return [perms.count_avoiders(n, p, ceiling=args.max_brute_n) for n in range(lo, hi + 1)]
+    from . import counting, series
     if (args.pattern, args.method) == ("1234", "closed"):
         return counting.s1234_recurrence(hi)[lo:]  # linear; the closed sum is not
     if args.pattern != "1342":
@@ -97,6 +104,7 @@ def _cmd_sequence(args) -> int:
         raise DomainError("--upto must be nonnegative")
     rows = list(enumerate(_counts(args, 1, args.upto), start=1))
     if args.format == "json":
+        import json
         payload = {
             "pattern": args.pattern,
             "method": args.method,
@@ -114,6 +122,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    from . import bijections, perms, trees
     direction = args.direction
     if direction == "perm-to-tree":
         print(trees.serialize(bijections.F_forward(perms.Permutation.from_text(args.input))))
@@ -138,6 +147,7 @@ def _cmd_generate(args) -> int:
     if args.n < 0:
         raise DomainError("--n must be nonnegative")
     if args.kind == "trees":
+        from . import trees
         if args.count_only:
             print(trees.count_beta01(args.n, ceiling=args.max_brute_n))
         else:
@@ -154,6 +164,7 @@ def _cmd_generate(args) -> int:
         selection = "indecomposable"
     elif args.first_entry_1:
         selection = "first_entry_is_1"
+    from . import perms
     pattern = perms.Permutation.from_text(args.pattern)
     if args.count_only:
         print(perms.count_avoiders(args.n, pattern, selection, ceiling=args.max_brute_n))
@@ -164,6 +175,7 @@ def _cmd_generate(args) -> int:
 
 
 def _verify_bijection(max_n: int, ceiling: int) -> list[str]:
+    from . import bijections, perms, trees
     failures: list[str] = []
     for n in range(1, max_n + 1):
         image = set()
@@ -186,6 +198,7 @@ def _verify_bijection(max_n: int, ceiling: int) -> list[str]:
 
 
 def _verify_sequences(max_n: int, ceiling: int, inject_error: bool) -> tuple[list[str], counting.CrossCheckReport]:
+    from . import counting
     report = counting.cross_check(max(50, max_n), min(max_n, ceiling), brute_ceiling=ceiling,
                                   inject_error=inject_error)
     failures = []
@@ -197,6 +210,7 @@ def _verify_sequences(max_n: int, ceiling: int, inject_error: bool) -> tuple[lis
 
 
 def _verify_series() -> list[str]:
+    from . import series
     failures: list[str] = []
     division = series.H_series_division(200)
     if division != series.H_series_rational(200):
@@ -227,6 +241,7 @@ def _cmd_verify(args) -> int:
         failures.extend(_verify_series())
 
     if args.json:
+        import json
         payload = {
             "suite": args.suite,
             "max_n": args.max_n,
@@ -244,6 +259,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from . import perms
     print(perms.normalize(perms.Permutation.from_text(args.perm)))
     return EXIT_OK
 

@@ -39,19 +39,21 @@ one permutation and stops at the first value in ``forbid``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Iterator, Literal, Sequence, get_args
 
+from ._frozen import Frozen
 from .errors import DEFAULT_CEILING, DomainError, InvalidPermutationError, refuse_above
 
 Selection = Literal["all", "indecomposable", "first_entry_is_1"]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """A permutation of {1..n} in one-line notation.
+
+    ``values`` is stored as a tuple; an entry that is not an ``int`` (a
+    ``bool`` or a ``float`` included) is refused.
 
     >>> Permutation.from_text("361542").values
     (3, 6, 1, 5, 4, 2)
@@ -59,14 +61,15 @@ class Permutation:
     '361542'
     """
 
+    __slots__ = __match_args__ = ("values",)
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.values)
-        if sorted(self.values) != list(range(1, n + 1)):
-            raise InvalidPermutationError(
-                f"not a permutation of 1..{n}: {self.values!r}"
-            )
+    def __init__(self, values: Iterable[int]):
+        values = tuple(values)
+        n = len(values)
+        if not {int}.issuperset(map(type, values)) or sorted(values) != list(range(1, n + 1)):
+            raise InvalidPermutationError(f"not a permutation of 1..{n}: {values!r}")
+        _set_values(self, values)
 
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
@@ -100,26 +103,30 @@ class Permutation:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class ClassSignature:
+_set_values = Permutation.values.__set__  # stores past __setattr__, faster than object's
+
+
+class ClassSignature(Frozen):
     """The left-to-right minima of a permutation: ((position, value), ...), 1-based.
 
     Two permutations of the same length are in the same class exactly when
     their signatures are equal.
     """
 
+    __slots__ = __match_args__ = ("minima",)
     minima: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if self.minima:
-            positions = [pos for pos, _ in self.minima]
-            values = [val for _, val in self.minima]
+    def __init__(self, minima: tuple[tuple[int, int], ...]):
+        if minima:
+            positions = [pos for pos, _ in minima]
+            values = [val for _, val in minima]
             if positions[0] != 1:
                 raise InvalidPermutationError("first left-to-right minimum must sit at position 1")
             if positions != sorted(positions) or len(set(positions)) != len(positions):
                 raise InvalidPermutationError("minima positions must strictly increase")
             if values != sorted(values, reverse=True) or len(set(values)) != len(values):
                 raise InvalidPermutationError("minima values must strictly decrease")
+        object.__setattr__(self, "minima", minima)
 
     @property
     def positions(self) -> tuple[int, ...]:

@@ -37,28 +37,33 @@ integer steps, and refuses the same n as the stream: a negative n with
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator
+from typing import Iterable, Iterator
 
+from ._frozen import Frozen
 from .errors import (DEFAULT_CEILING, DomainError, InvalidTreeError, TreeParseError,
                      refuse_above)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class LabeledPlaneTree:
-    """A rooted plane tree with a nonnegative integer label on every node.
+class LabeledPlaneTree(Frozen):
+    """A rooted plane tree with a nonnegative ``int`` label on every node.
 
-    Two trees are equal when their reading orders carry the same labels and
-    child counts; this sequence determines the tree.
+    ``children`` is stored as a tuple.  Two trees are equal when their
+    reading orders carry the same labels and child counts; this sequence
+    determines the tree.
     """
 
+    __slots__ = __match_args__ = ("label", "children")
     label: int
-    children: tuple["LabeledPlaneTree", ...] = ()
+    children: tuple[LabeledPlaneTree, ...]
 
-    def __post_init__(self):
-        if self.label < 0:
-            raise InvalidTreeError(f"negative label {self.label}")
+    def __init__(self, label: int, children: Iterable[LabeledPlaneTree] = ()):
+        if type(label) is not int:  # a bool too: its repr would not parse
+            raise InvalidTreeError(f"label {label!r} is not an int")
+        if label < 0:
+            raise InvalidTreeError(f"negative label {label}")
+        _set_label(self, label)
+        _set_children(self, tuple(children))
 
     def _signature(self) -> list[tuple[int, int]]:
         return [(node.label, len(node.children)) for node in postorder_positions(self)]
@@ -76,6 +81,10 @@ class LabeledPlaneTree:
 
     def __str__(self) -> str:
         return serialize(self)
+
+
+# store past __setattr__, faster than object's
+_set_label, _set_children = LabeledPlaneTree.label.__set__, LabeledPlaneTree.children.__set__
 
 
 def postorder_positions(tree: LabeledPlaneTree) -> list[LabeledPlaneTree]:
@@ -225,10 +234,14 @@ def normalize_tree(tree: LabeledPlaneTree) -> LabeledPlaneTree:
     return _from_arrays([0] * len(kids), kids)
 
 
-@dataclass(frozen=True)
-class ShapeFlags:
+class ShapeFlags(Frozen):
+    __slots__ = __match_args__ = ("single_path", "all_zero_labels")
     single_path: bool
     all_zero_labels: bool
+
+    def __init__(self, single_path: bool, all_zero_labels: bool):
+        object.__setattr__(self, "single_path", single_path)
+        object.__setattr__(self, "all_zero_labels", all_zero_labels)
 
 
 def classify_shape(tree: LabeledPlaneTree) -> ShapeFlags:

@@ -57,6 +57,19 @@ def test_rejects_duplicates_and_gaps():
         Permutation((0, 1))
 
 
+@pytest.mark.parametrize("values", [(1.0, 2.0), (True,), (2.0, 1.0, 3.0), (1, True), ("1",)])
+def test_rejects_entries_that_are_not_int(values):
+    # floats and bools compare equal to ints; they used to pass the check
+    with pytest.raises(InvalidPermutationError):
+        Permutation(values)
+
+
+def test_stores_a_tuple():
+    p = Permutation([3, 1, 2])
+    assert p.values == (3, 1, 2) and p == Permutation((3, 1, 2))
+    assert hash(p) == hash(Permutation((3, 1, 2)))
+
+
 def test_text_roundtrip_both_forms():
     assert P("361542").values == (3, 6, 1, 5, 4, 2)
     assert P("3,6,1,5,4,2").values == (3, 6, 1, 5, 4, 2)

@@ -39,6 +39,20 @@ def test_negative_label_rejected():
         LabeledPlaneTree(-1)
 
 
+@pytest.mark.parametrize("label", [True, False, 1.5, 0.0, "0", None])
+def test_label_that_is_not_int_rejected(label):
+    with pytest.raises(InvalidTreeError):
+        LabeledPlaneTree(label)
+    with pytest.raises(InvalidTreeError):
+        LabeledPlaneTree(label, (LabeledPlaneTree(0),))
+
+
+def test_children_stored_as_a_tuple():
+    tree = LabeledPlaneTree(0, [LabeledPlaneTree(0)])
+    assert tree.children == (LabeledPlaneTree(0),) and tree == parse("0(0)")
+    assert hash(tree) == hash(parse("0(0)"))
+
+
 def test_validate_examples():
     assert validate_beta01(parse("0(0 0)")) is True
     assert validate_beta01(parse("1(0)")) is False   # root must equal child sum
