@@ -1,12 +1,13 @@
 """The base of the immutable value classes of ``perms`` and ``trees``.
 
 A subclass names its fields in ``__slots__`` and, in the same order, in
-``__match_args__``.  Its ``__init__`` checks the arguments and stores them
-past ``__setattr__``, which refuses every assignment.  As for a frozen
-dataclass, equality holds within one class only and the hash is that of the
-tuple of the fields, so sets and dicts of these values iterate in the same
-order as they did when the classes were dataclasses.  Pickling and copying
-call the constructor again, which checks the fields once more.
+``__match_args__``, and returns their values from ``_fields``.  Its
+``__init__`` checks the arguments and stores them past ``__setattr__``,
+which refuses every assignment.  As for a frozen dataclass, equality holds
+within one class only and the hash is that of the tuple of the fields, so
+sets and dicts of these values iterate in the same order as they did when
+the classes were dataclasses.  Pickling and copying call the constructor
+again, which checks the fields once more.
 """
 
 
@@ -15,7 +16,7 @@ class Frozen:
     __match_args__: tuple[str, ...] = ()
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
+        raise NotImplementedError
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -26,7 +27,8 @@ class Frozen:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        pairs = zip(self.__match_args__, self._fields())
+        fields = ", ".join(f"{name}={value!r}" for name, value in pairs)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -71,6 +71,9 @@ class Permutation(Frozen):
             raise InvalidPermutationError(f"not a permutation of 1..{n}: {values!r}")
         _set_values(self, values)
 
+    def _fields(self) -> tuple:
+        return (self.values,)
+
     @classmethod
     def from_text(cls, text: str) -> "Permutation":
         """Parse either the digit form ("361542") or the comma form ("3,6,1,5,4,2").
@@ -127,6 +130,9 @@ class ClassSignature(Frozen):
             if values != sorted(values, reverse=True) or len(set(values)) != len(values):
                 raise InvalidPermutationError("minima values must strictly decrease")
         object.__setattr__(self, "minima", minima)
+
+    def _fields(self) -> tuple:
+        return (self.minima,)
 
     @property
     def positions(self) -> tuple[int, ...]:

@@ -65,6 +65,9 @@ class LabeledPlaneTree(Frozen):
         _set_label(self, label)
         _set_children(self, tuple(children))
 
+    def _fields(self) -> tuple:
+        return (self.label, self.children)
+
     def _signature(self) -> list[tuple[int, int]]:
         return [(node.label, len(node.children)) for node in postorder_positions(self)]
 
@@ -242,6 +245,9 @@ class ShapeFlags(Frozen):
     def __init__(self, single_path: bool, all_zero_labels: bool):
         object.__setattr__(self, "single_path", single_path)
         object.__setattr__(self, "all_zero_labels", all_zero_labels)
+
+    def _fields(self) -> tuple:
+        return (self.single_path, self.all_zero_labels)
 
 
 def classify_shape(tree: LabeledPlaneTree) -> ShapeFlags:

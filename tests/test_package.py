@@ -1,7 +1,6 @@
 """The package surface and what each CLI command loads at start-up."""
 import ast
 import importlib
-import os
 import pathlib
 import subprocess
 import sys
@@ -72,7 +71,6 @@ LIGHT_COMMANDS = [
      "--count-only"],
 ]
 _CHILD = """
-import sys
 bare = set(sys.modules)
 import avoid1342
 found = {"import": sorted(m for m in sys.modules if m.startswith("avoid1342."))}
@@ -85,11 +83,11 @@ print(repr(found))
 
 
 def test_light_commands_load_no_heavy_layer():
-    src = pathlib.Path(avoid1342.__file__).resolve().parent.parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    script = f"COMMANDS = {LIGHT_COMMANDS!r}\nHEAVY = {HEAVY!r}\n{_CHILD}"
-    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                           text=True, timeout=60)
+    src = str(pathlib.Path(avoid1342.__file__).resolve().parent.parent)
+    script = (f"import sys\nsys.path.insert(0, {src!r})\n"
+              f"COMMANDS = {LIGHT_COMMANDS!r}\nHEAVY = {HEAVY!r}\n{_CHILD}")
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           timeout=60)
     assert child.returncode == 0, child.stderr
     lines = child.stdout.splitlines()
     assert lines[:4] == ["32415", "103", "56", "56"]
