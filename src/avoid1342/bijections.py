@@ -377,21 +377,19 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
 
             # the leftmost node with positive labels up to the top: descend from
             # the top, each step taking the first child with a positive label
-            path = [top]
+            # and lowering it (the last one reached leaves the tree anyway)
+            up, candidate = 0, top
             while True:
-                for c in kids[path[-1]]:
+                for c in kids[candidate]:
                     if label[c] > 0:
-                        path.append(c)
+                        label[c] -= 1
+                        up, candidate = candidate, c
                         break
                 else:
                     break
-            candidate = path[-1]
             out[candidate] = largest
             largest -= 1
             if candidate != top:
-                up = path[-2]
-                for ancestor in path[1:-1]:
-                    label[ancestor] -= 1
                 for c in kids[candidate]:
                     parent[c] = up
                 index = kids[up].index(candidate)
@@ -407,15 +405,15 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
             # after the c-th node is valid iff the running minimum there equals
             # the c-th largest remaining value, largest + 1 - c.  The minima are
             # placed and fall along the reading order, so the running minimum
-            # only moves at a minimum, and at most one cut fits before the next.
+            # is the last minimum passed.
             if not out[nodes[0]]:
                 raise ReconstructionError("reading order does not start at a leaf")
-            at_minima = [c for c, pos in enumerate(nodes, start=1) if out[pos]]
             cuts = []
-            for c, next_c in zip(at_minima, at_minima[1:] + [len(nodes) + 1]):
-                cut = largest + 1 - out[nodes[c - 1]]
-                if c <= cut < next_c:
-                    cuts.append(cut)
+            low, first = 0, largest + 1
+            for c, pos in enumerate(nodes, start=1):
+                low = out[pos] or low
+                if low + c == first:
+                    cuts.append(c)
             if cuts[-1:] != [len(nodes)]:
                 raise ReconstructionError("cut decomposition did not cover the content")
 

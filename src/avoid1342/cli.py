@@ -56,8 +56,9 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 #: Largest n of ``--method series`` and ``convolution`` and ``verify --suite
-#: sequences``, all quadratic in big integers: at n = 2500 on a 2-core 2 GHz
-#: machine the series takes about 25-35 s and the convolution about 20-25 s.
+#: sequences``, all quadratic in big integers: ``count --n 2500`` on a 2-core
+#: 2 GHz machine (Python 3.11) takes about 24-32 s wall by the series and
+#: 18-25 s by the convolution, nearly all of it in the big-integer products.
 QUADRATIC_CEILING = 2500
 
 

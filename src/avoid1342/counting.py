@@ -11,8 +11,10 @@ Sequences handled here, all as exact arbitrary-precision integers:
   which is 1 for n = 1 and t_closed(n-1) afterwards;
 * ``s1342_closed(n)``   -- all 1342-avoiders of length n, by the alternating
   closed form; ``s1342_convolution`` builds the same numbers from the
-  indecomposable counts via s(n) = sum_i I(i)·s(n-i), multiplying only the
-  odd part of each I(i) and shifting its power of two back in;
+  indecomposable counts I(i) = t(i-1), read off ``t_recurrence``, via
+  s(n) = sum_i I(i)·s(n-i) (H = 1/(1-F)), each s(n) one C-level reduction
+  that multiplies only the odd part of each I(i) and shifts its power of two
+  back in;
 * ``s1234_closed(n)``   -- all 1234-avoiders of length n; ``s1234_recurrence``
   builds the same numbers from their P-recurrence.
 
@@ -28,10 +30,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from operator import lshift, mul
 
 from .errors import DEFAULT_CEILING, DomainError, exact_quotient
 from .perms import Permutation, count_avoiders
-from .series import F_series, H_series_division, H_series_rational
+from .series import F_series, H_series_division, H_series_rational, _square_coefficient
 from .trees import generate_all_beta01
 
 
@@ -110,24 +113,26 @@ def s1342_closed(n: int) -> int:
 def s1342_convolution(up_to: int) -> list[int]:
     """Values s(0..up_to) built from s(n) = sum_{i=1..n} I(i)·s(n-i), s(0) = 1.
 
-    Each I(i) is split once into odd(i) << shift(i), its odd part and its
-    count of trailing zero bits (I(i) = t(i-1) carries a factor 2^(i-2)), so
-    every product multiplies the odd part only and shifts the rest back in.
+    The blocks I(i) = t(i-1) come from ``t_recurrence``, one checked exact
+    division per new term, and each is split once into odd(i) << shift(i),
+    its odd part and its count of trailing zero bits (t(i-1) carries a factor
+    2^(i-2)), so every product multiplies the odd part only and shifts the
+    rest back in.  Each s(n) is one C-level reduction over aligned slices:
+    the blocks run backwards from i = n while s runs forwards from s(0).
 
     >>> s1342_convolution(6)
     [1, 1, 2, 6, 23, 103, 512]
     """
     if up_to < 0:
         raise DomainError(f"up_to must be nonnegative, got {up_to}")
-    odd, shift = [0], [0]
-    for i in range(1, up_to + 1):
-        block = indecomposable_count(i)
+    odd, shift = [0, 1], [0, 0]  # I(1) = 1
+    for block in map(t_recurrence, range(1, up_to)):  # I(i + 1) = t(i)
         zeros = (block & -block).bit_length() - 1
         odd.append(block >> zeros)
         shift.append(zeros)
     out = [1]
     for n in range(1, up_to + 1):
-        out.append(sum((odd[i] * out[n - i]) << shift[i] for i in range(1, n + 1)))
+        out.append(sum(map(lshift, map(mul, odd[n:0:-1], out), shift[n:0:-1])))
     return out
 
 
@@ -323,7 +328,7 @@ def cross_check(
     for n in range(0, up_to_closed + 1):
         c_report.add(n, catalan(n), "binomial")
         if n > 0:
-            recurrence.append(sum(recurrence[i] * recurrence[n - 1 - i] for i in range(n)))
+            recurrence.append(_square_coefficient(recurrence, n - 1))
         c_report.add(n, recurrence[n], "recurrence")
     for n in range(1, up_to_brute + 1):
         c_report.add(n, count_avoiders(n, _P132, ceiling=brute_ceiling), "brute-132")

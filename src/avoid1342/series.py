@@ -20,12 +20,14 @@ The two series of interest:
   ((1-8x)^{3/2} - 8x^2 + 20x + 1) / (2(x+1)^3).
 
 ``verify_H_algebraic`` checks the radical-free polynomial identity
-((-8x^2 + 20x + 1)·H - 32x)^2 = (1-8x)^3·H^2 coefficient by coefficient.
+((-8x^2 + 20x + 1)·H - 32x)^2 = (1-8x)^3·H^2 coefficient by coefficient,
+forming each coefficient of a square from half its products.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence, Union
 
 from .errors import DomainError, exact_quotient
@@ -214,6 +216,16 @@ def H_series_rational(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     return _solve(numerator, [2, 6, 6, 2], order)
 
 
+def _square_coefficient(c: Sequence[Scalar], m: int) -> Scalar:
+    """The x^m coefficient of the square of a series whose coefficients start with c[0..m].
+
+    2·sum_{i < m/2} c_i·c_{m-i} + c_{m/2}^2 (the last term for even m only):
+    each product of the Cauchy sum appears twice, so it is formed once.
+    """
+    half = sum(map(mul, c[:(m + 1) // 2], c[m:m // 2:-1]))
+    return 2 * half + c[m // 2] ** 2 if m % 2 == 0 else 2 * half
+
+
 def verify_H_algebraic(order: int, h: TruncatedSeries | None = None) -> bool:
     """Check ((-8x^2 + 20x + 1)·H - 32x)^2 == (1-8x)^3·H^2 up to ``order``.
 
@@ -243,8 +255,8 @@ def verify_H_algebraic(order: int, h: TruncatedSeries | None = None) -> bool:
         if m == 1:
             um -= 32
         u.append(um)
-        w.append(sum(hc[i] * hc[m - i] for i in range(m + 1)))
-        lhs = sum(u[i] * u[m - i] for i in range(m + 1))
+        w.append(_square_coefficient(hc, m))
+        lhs = _square_coefficient(u, m)
         rhs = w[m]
         if m >= 1:
             rhs -= 24 * w[m - 1]

@@ -37,6 +37,7 @@ integer steps, and refuses the same n as the stream: a negative n with
 """
 from __future__ import annotations
 
+import re
 from itertools import accumulate
 from typing import Iterable, Iterator
 
@@ -178,56 +179,48 @@ def serialize(tree: LabeledPlaneTree) -> str:
     return done[0]
 
 
+_LABEL = re.compile("[0-9]+")  # ASCII digits only, unlike str.isdigit and \d
+
+
 def parse(text: str) -> LabeledPlaneTree:
     """Parse the canonical text form, reporting the position of the first error.
 
     >>> parse("3(3(1(0) 1(0)))").label
     3
     """
-    pos = 0
-
-    def fail(message: str):
-        raise TreeParseError(message, pos)
-
-    def read_label() -> int:
-        nonlocal pos
-        start = pos
-        while pos < len(text) and "0" <= text[pos] <= "9":  # ASCII only
-            pos += 1
-        if pos == start:
-            fail("expected a label")
-        digits = text[start:pos]
-        if len(digits) > 1 and digits[0] == "0":
-            pos = start
-            fail("leading zero in label")
-        try:
-            return int(digits)
-        except ValueError:  # past the interpreter's cap on digits
-            pos = start
-            fail(f"label of {len(digits)} digits is too long to read")
-
+    pos, end = 0, len(text)
     open_nodes: list[tuple[int, list[LabeledPlaneTree]]] = []  # label, children read so far
     while True:
-        label = read_label()
-        if pos < len(text) and text[pos] == "(":
+        match = _LABEL.match(text, pos)
+        if match is None:
+            raise TreeParseError("expected a label", pos)
+        digits = match.group()
+        if len(digits) > 1 and digits[0] == "0":
+            raise TreeParseError("leading zero in label", pos)
+        try:
+            label = int(digits)
+        except ValueError:  # past the interpreter's cap on digits
+            raise TreeParseError(f"label of {len(digits)} digits is too long to read", pos)
+        pos = match.end()
+        if pos < end and text[pos] == "(":
             pos += 1
             open_nodes.append((label, []))
             continue
         node = LabeledPlaneTree(label)
         while open_nodes:  # attach the finished node; close parents until a sibling follows
             open_nodes[-1][1].append(node)
-            if pos < len(text) and text[pos] == " ":
+            if pos < end and text[pos] == " ":
                 pos += 1
                 break
-            if pos >= len(text) or text[pos] != ")":
-                fail("expected ')' or ' '")
+            if pos >= end or text[pos] != ")":
+                raise TreeParseError("expected ')' or ' '", pos)
             pos += 1
             label, children = open_nodes.pop()
             node = LabeledPlaneTree(label, tuple(children))
         else:
             break
-    if pos != len(text):
-        fail("trailing input")
+    if pos != end:
+        raise TreeParseError("trailing input", pos)
     return node
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from avoid1342 import (
@@ -57,6 +57,18 @@ def test_mul_commutative_associative(a, b, c):
     sa, sb, sc = (series_from(v, order=order) for v in (a, b, c))
     assert sa * sb == sb * sa
     assert (sa * sb) * sc == sa * (sb * sc)
+
+
+@given(st.one_of(st.lists(st.integers(-10**30, 10**30), min_size=1, max_size=12),
+                 st.lists(rationals, min_size=1, max_size=12)),
+       st.integers(0, 11))
+@example([7], 0)
+@example([1, -2, 3], 1)
+@example([Fraction(1, 2), 2, Fraction(-3, 4), 5], 2)
+@settings(max_examples=200)
+def test_square_coefficient_equals_the_cauchy_coefficient(c, m):
+    m = min(m, len(c) - 1)
+    assert series._square_coefficient(c, m) == sum(c[i] * c[m - i] for i in range(m + 1))
 
 
 def test_truncation_to_smaller_operand():

@@ -83,6 +83,19 @@ def test_parse_serialize_roundtrip_all_generated_trees():
             assert parse(serialize(tree)) == tree
 
 
+#: the reason each malformed text below is refused with
+PARSE_REASONS = {
+    "": "expected a label",
+    "1(1(0)": "expected ')' or ' '",
+    "01": "leading zero in label",
+    "0(0  0)": "expected a label",
+    "0(0 0) ": "trailing input",
+    "0(0 0))": "trailing input",
+    "-1": "expected a label",
+    "0(  )": "expected a label",
+}
+
+
 @pytest.mark.parametrize(
     "text,position",
     [
@@ -99,7 +112,9 @@ def test_parse_serialize_roundtrip_all_generated_trees():
 def test_parse_error_positions(text, position):
     with pytest.raises(TreeParseError) as err:
         parse(text)
-    assert err.value.position == position
+    reason = PARSE_REASONS[text]
+    assert (err.value.position, err.value.reason) == (position, reason)
+    assert str(err.value) == f"{reason} (at position {position})"
 
 
 @pytest.mark.parametrize(
@@ -113,7 +128,7 @@ def test_parse_error_positions(text, position):
 def test_parse_accepts_only_ascii_digits(text, position):
     with pytest.raises(TreeParseError) as err:
         parse(text)
-    assert err.value.position == position
+    assert (err.value.position, err.value.reason) == (position, "expected a label")
 
 
 @pytest.mark.parametrize("text,position", [("7" * 4301, 0), ("0(0 " + "1" * 5000 + ")", 4)],
