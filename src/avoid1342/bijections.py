@@ -405,15 +405,18 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
             # after the c-th node is valid iff the running minimum there equals
             # the c-th largest remaining value, largest + 1 - c.  The minima are
             # placed and fall along the reading order, so the running minimum
-            # is the last minimum passed.
+            # only moves at a minimum, and at most one cut fits before the next:
+            # the one a minimum fixes, if it falls between it and the next.
             if not out[nodes[0]]:
                 raise ReconstructionError("reading order does not start at a leaf")
-            cuts = []
-            low, first = 0, largest + 1
+            cuts, start, cut, first = [], 0, -1, largest + 1  # no minimum passed yet
             for c, pos in enumerate(nodes, start=1):
-                low = out[pos] or low
-                if low + c == first:
-                    cuts.append(c)
+                if out[pos]:
+                    if start <= cut < c:
+                        cuts.append(cut)
+                    start, cut = c, first - out[pos]
+            if start <= cut <= len(nodes):
+                cuts.append(cut)
             if cuts[-1:] != [len(nodes)]:
                 raise ReconstructionError("cut decomposition did not cover the content")
 
