@@ -7,7 +7,8 @@ which refuses every assignment.  As for a frozen dataclass, equality holds
 within one class only and the hash is that of the tuple of the fields, so
 sets and dicts of these values iterate in the same order as they did when
 the classes were dataclasses.  Pickling and copying call the constructor
-again, which checks the fields once more.
+again, which checks the fields once more; ``LabeledPlaneTree`` overrides
+``__reduce__`` with a flat form, so that a deep tree needs no recursion.
 """
 
 

@@ -16,24 +16,25 @@ transitive closure along increasing positions).  Entries are attached to tree
 nodes by the children-first reading order of :mod:`avoid1342.trees`.
 
 ``F`` and the shape map work on arrays indexed by reading position (labels,
-parents, child lists) from start to finish.  ``F_forward`` reads
+parents, child lists) from start to finish.  ``F_forward`` makes one
+right-to-left pass for the extents of ``beats`` and ``reaches``, which also
+refuses 1342 from the next larger entry of each entry, reads
 indecomposability off N(p), which has the left-to-right minima of p and so its
 skew cuts, takes the child lists of N(p) from one next-larger-to-the-right
 pass, checks them exactly, computes the labels in one loop, checks validity on
-the arrays and builds each node once.  ``F_inverse`` walks its tree once into
-the same arrays, and the validity check, the shape's values and the minima are
-all read off them.  A block of its greedy is a list of positions with its top
-last and the largest of its run of values, and each value finds its node by
-one descent from the top.
+the arrays and builds each internal node once, sharing the zero leaf of
+``trees``.  ``F_inverse`` walks its tree once into the same arrays, and the
+validity check, the shape's values and the minima are all read off them.  A
+block of its greedy is a list of positions with its top last and the largest
+of its run of values, and each value finds its node by one descent from the
+top; one loop over a split block checks both that it is one component and
+that its minima lie in its values.
 
 Both directions of ``f`` rest on ``perms._normalize_values``, the 132 fill of
 a run of minima.  A path labeling gives the suffix minima of p, and with
 p_1 = 1 the rest of p avoids 231, so its reverse is the fill of those minima:
 ``f_inverse`` is one walk and one fill, and ``f_forward`` tests for 1342 by
 checking that the reversed rest of p equals its own fill.  Both are O(n).
-
-Everything here is pure; exhaustive verification over permutation or tree
-ranges can be partitioned freely across workers.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from typing import Sequence
 
 from .errors import DomainError, ReconstructionError
 from .perms import Permutation, _normalize_values, compose_blocks, decompose
-from .trees import LabeledPlaneTree, _from_arrays, _labels_valid, _reading_arrays
+from .trees import _LEAF, LabeledPlaneTree, _from_arrays, _labels_valid, _reading_arrays
 
 # ---------------------------------------------------------------------------
 # beats / reaches
@@ -56,6 +57,13 @@ def _beat_extents(vals: tuple[int, ...]) -> tuple[list[int], list[int]]:
     right-to-left pass over value-indexed arrays answers both: ``last_at[x]``
     is the position of the value x once passed, and ``reach_at[x]`` the
     furthest position that entry beats or reaches, itself included.
+
+    The same pass refuses 1342 with ``DomainError``.  In an occurrence the 3
+    beats the 2 (the 1 lies before the 3) and the 4 lies between them, so the
+    first entry after the 3 that exceeds it lies before the 2 too.  Hence
+    vals contains 1342 iff some entry's next larger entry comes before the
+    last entry it beats; the left-to-right maxima of the entries passed,
+    kept on a stack, give each entry's next larger entry.
     """
     n = len(vals)
     prefix_min = [n + 1, *accumulate(vals[:-1], min)]
@@ -63,32 +71,20 @@ def _beat_extents(vals: tuple[int, ...]) -> tuple[list[int], list[int]]:
     reach_at = [-1] * (n + 2)
     last_beaten = [-1] * n
     max_reach = [-1] * n
+    larger: list[int] = []  # the left-to-right maxima of the entries passed, the last on top
     for i in range(n - 1, -1, -1):
         lo, v = prefix_min[i] + 1, vals[i]
+        while larger and larger[-1] < v:
+            larger.pop()
         if lo < v:
-            last_beaten[i] = max(last_at[lo:v])
+            last = last_beaten[i] = max(last_at[lo:v])
+            if larger and last_at[larger[-1]] < last:
+                raise DomainError("permutation contains 1342")
             max_reach[i] = max(reach_at[lo:v])
         last_at[v] = i
         reach_at[v] = max(i, max_reach[i])
+        larger.append(v)
     return last_beaten, max_reach
-
-
-def _contains_1342(vals: tuple[int, ...], last_beaten: list[int]) -> bool:
-    """True iff vals contains 1342, given the first list of ``_beat_extents(vals)``.
-
-    In an occurrence the 3 beats the 2 (the 1 lies before the 3) and the 4
-    lies between them, so the first entry after the 3 that exceeds it lies
-    before the 2 too.  Hence vals contains 1342 iff some entry's next larger
-    entry comes before the last entry it beats.
-    """
-    n = len(vals)
-    next_larger = [n] * n
-    stack: list[int] = []
-    for j, v in enumerate(vals):
-        while stack and vals[stack[-1]] < v:
-            next_larger[stack.pop()] = j
-        stack.append(j)
-    return any(next_larger[i] < last for i, last in enumerate(last_beaten))
 
 
 def beats(p: Permutation, i: int, j: int) -> bool:
@@ -168,9 +164,9 @@ def f_forward(p: Permutation) -> LabeledPlaneTree:
         labels.append(i - suffix_min + 1)
     labels.reverse()
     labels.append(labels[-1] if labels else 0)
-    tree = None
-    for label in labels:  # leaf first, root last
-        tree = LabeledPlaneTree(label, (tree,) if tree is not None else ())
+    tree = _LEAF  # the leaf's label, labels[0], is 1 - min(p_2..p_n) + 1 = 0
+    for label in labels[1:]:  # root last
+        tree = LabeledPlaneTree(label, (tree,))
     return tree
 
 
@@ -281,12 +277,13 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     (itself included) whose entry reaches some entry past the node's own
     position; the root's label is the sum of its children's labels.
 
-    Everything runs on arrays by reading position.  A skew cut depends only
-    on the left-to-right minima, which p and N(p) share, and the 132-avoider
-    N(p) is indecomposable iff it ends with n, so that one entry decides the
-    domain after the 1342 test.  The child lists of N(p) come from one
-    next-larger-to-the-right pass, checked exactly, and one left-to-right
-    loop gives each subtree's first position and each label.
+    Everything runs on arrays by reading position.  The pass that finds the
+    last entry each entry reaches refuses 1342 on the way.  A skew cut depends
+    only on the left-to-right minima, which p and N(p) share, and the
+    132-avoider N(p) is indecomposable iff it ends with n, so that one entry
+    decides the domain after the 1342 test.  The child lists of N(p) come
+    from one next-larger-to-the-right pass, checked exactly, and one
+    left-to-right loop gives each subtree's first position and each label.
     The labels are checked for validity on the arrays, and the tree is built
     once at the end.
 
@@ -297,9 +294,7 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     n = len(vals)
     if n < 1:
         raise DomainError("the bijection needs a nonempty permutation")
-    last_beaten, max_reach = _beat_extents(vals)
-    if _contains_1342(vals, last_beaten):
-        raise DomainError("permutation contains 1342")
+    _, max_reach = _beat_extents(vals)  # refuses 1342
     shape_vals = _normalize_values(vals)
     if shape_vals[-1] != n:
         raise DomainError("permutation is decomposable")
@@ -427,14 +422,20 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
             for end in cuts:
                 block = nodes[start:end]
                 high, low, block_top = largest - start, largest + 1 - end, block[-1]
-                # parents follow their children, so a parent in the block is at most its top
-                tops = sum([not 0 < parent[pos] <= block_top for pos in block])
+                # parents follow their children, so a parent in the block is at most
+                # its top; a placed value in the block is a minimum
+                tops, strays = 0, False
+                for pos in block:
+                    if not 0 < parent[pos] <= block_top:
+                        tops += 1
+                    if out[pos] and not low <= out[pos] <= high:
+                        strays = True
                 if tops != 1:
                     raise ReconstructionError(f"block with {tops} components")
                 if parent[block_top]:
                     kids[parent[block_top]].remove(block_top)
                     parent[block_top] = 0
-                if any(out[pos] and not low <= out[pos] <= high for pos in block):
+                if strays:
                     raise ReconstructionError("minimum fell outside its value block")
                 work.append((block, high))
                 start = end

@@ -26,9 +26,14 @@ from arrays with each node made once (``_from_arrays``).  The generators are
 loops too: they step the pre-order subtree sizes of a shape, or the labels in
 reading order, like an odometer.
 
-Trees are immutable; generation streams are restartable, and the shape level
-is exposed separately (``iter_shapes`` + ``iter_valid_labelings``) so callers
-can consume shapes in parallel.  ``count_beta01`` counts the same trees
+Trees are immutable and compare by structure, so the builders here (``parse``,
+``_from_arrays``, the generators and ``path_shape``) share one leaf with
+label 0, ``_LEAF``; ``LabeledPlaneTree(0)`` itself still makes a new node.  A
+tree pickles and copies flat, as its reading-order labels and child counts,
+rebuilt by one loop through the constructor, so depth does not matter there
+either.  Generation streams are restartable, and the shape level is exposed
+separately (``iter_shapes`` + ``iter_valid_labelings``) so callers can
+consume shapes in parallel.  ``count_beta01`` counts the same trees
 without building any: it sums tables of subtrees by size and top label and of
 subtree sequences by size and label sum (``_label_sum_tables``), in O(n^4)
 integer steps, and refuses the same n as the stream: a negative n with
@@ -86,9 +91,36 @@ class LabeledPlaneTree(Frozen):
     def __str__(self) -> str:
         return serialize(self)
 
+    def __reduce__(self):
+        # flat, so that pickling and copying a deep tree need no recursion
+        labels, counts = zip(*self._signature())
+        return _from_signature, (labels, counts)
+
 
 # store past __setattr__, faster than object's
 _set_label, _set_children = LabeledPlaneTree.label.__set__, LabeledPlaneTree.children.__set__
+
+#: the one leaf with label 0 that the builders of this package share; nodes
+#: are immutable and compare by structure, so no caller can tell it apart
+_LEAF = LabeledPlaneTree(0)
+
+
+def _from_signature(labels: tuple[int, ...], counts: tuple[int, ...]) -> LabeledPlaneTree:
+    """Rebuild a tree from its reading-order labels and child counts.
+
+    Each node is made by the public constructor, which checks its label.
+    """
+    done: list[LabeledPlaneTree] = []  # finished subtrees still waiting for their parent
+    for label, count in zip(labels, counts):
+        first = len(done) - count
+        if first < 0:
+            raise InvalidTreeError("child counts do not describe a tree")
+        node = LabeledPlaneTree(label, done[first:])
+        del done[first:]
+        done.append(node)
+    if len(done) != 1:
+        raise InvalidTreeError("child counts do not describe a tree")
+    return done[0]
 
 
 def postorder_positions(tree: LabeledPlaneTree) -> list[LabeledPlaneTree]:
@@ -132,9 +164,10 @@ def _from_arrays(label: list[int], kids: list[list[int]]) -> LabeledPlaneTree:
     built = [None]
     for pos in range(1, len(kids)):
         child_positions = kids[pos]
-        built.append(LabeledPlaneTree(
-            label[pos], tuple([built[c] for c in child_positions]) if child_positions else ()
-        ))
+        if child_positions:
+            built.append(LabeledPlaneTree(label[pos], tuple([built[c] for c in child_positions])))
+        else:
+            built.append(LabeledPlaneTree(label[pos]) if label[pos] else _LEAF)
     return built[-1]
 
 
@@ -206,7 +239,7 @@ def parse(text: str) -> LabeledPlaneTree:
             pos += 1
             open_nodes.append((label, []))
             continue
-        node = LabeledPlaneTree(label)
+        node = LabeledPlaneTree(label) if label else _LEAF
         while open_nodes:  # attach the finished node; close parents until a sibling follows
             open_nodes[-1][1].append(node)
             if pos < end and text[pos] == " ":
@@ -256,7 +289,7 @@ def path_shape(n: int) -> LabeledPlaneTree:
     """The all-zero single-path shape on n nodes."""
     if n < 1:
         raise InvalidTreeError("path shape needs at least one node")
-    tree = LabeledPlaneTree(0)
+    tree = _LEAF
     for _ in range(n - 1):
         tree = LabeledPlaneTree(0, (tree,))
     return tree
@@ -294,6 +327,9 @@ def _shape_from_sizes(size: list[int]) -> LabeledPlaneTree:
     """The all-zero tree whose subtree sizes in pre-order are ``size``."""
     built: list[LabeledPlaneTree] = [None] * len(size)
     for k in range(len(size) - 1, -1, -1):
+        if size[k] == 1:
+            built[k] = _LEAF
+            continue
         children = []
         c, end = k + 1, k + size[k]
         while c < end:
@@ -317,7 +353,7 @@ def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
     internal = [pos for pos in range(1, n + 1) if kids[pos]]  # the root last
     label = [0] * (n + 1)
     child_sum = [0] * (n + 1)
-    built = [LabeledPlaneTree(0)] * (n + 1)  # leaves never change
+    built = [_LEAF] * (n + 1)  # leaves never change
     start = 0
     while True:
         label[n] = child_sum[n]

@@ -5,11 +5,22 @@ from itertools import permutations as iter_permutations
 import pytest
 from hypothesis import strategies as st
 
-from avoid1342 import LabeledPlaneTree, Permutation
+from avoid1342 import DomainError, LabeledPlaneTree, Permutation
+from avoid1342.bijections import _beat_extents
 from avoid1342.trees import _label_sum_tables
 
 #: Largest tree size ``unrank`` serves; its tables take about a second to build.
 UNRANK_MAX_N = 100
+
+
+def extents_refuse_1342(vals):
+    """True iff the O(n) extents pass of ``bijections`` refuses vals as containing 1342."""
+    try:
+        _beat_extents(tuple(vals))
+    except DomainError as refused:
+        assert refused.args == ("permutation contains 1342",)
+        return True
+    return False
 
 
 @st.composite

@@ -4,7 +4,7 @@ import time
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from avoid1342 import (
     DomainError,
@@ -35,8 +35,14 @@ from avoid1342 import (
     validate_beta01,
 )
 
-from avoid1342.bijections import _beat_extents, _contains_1342
-from conftest import perm_strategy, random_caterpillar_tree, random_uniform_tree, random_valid_tree
+from avoid1342.bijections import _beat_extents
+from conftest import (
+    extents_refuse_1342,
+    perm_strategy,
+    random_caterpillar_tree,
+    random_uniform_tree,
+    random_valid_tree,
+)
 from oracles import (
     oracle_beats_matrix,
     oracle_contains,
@@ -258,6 +264,25 @@ def test_F_forward_refuses_1342_first_then_decomposable(all_perms_by_n):
             assert type(refused.value) is DomainError and refused.value.args == (expected,), vals
 
 
+@given(perm_strategy(min_n=1, max_n=40))
+@example(Permutation(tuple(range(1, 41))))
+@example(Permutation(tuple(range(40, 0, -1))))
+@example(Permutation((40, *range(1, 40))))
+@settings(max_examples=300)
+def test_F_forward_refuses_1342_first_then_decomposable_on_long_perms(p):
+    # the 1342 test runs inside the extents pass; the exhaustive test above stops at n = 7
+    if contains(p, P1342):
+        expected = "permutation contains 1342"
+    elif len(decompose(p)) > 1:
+        expected = "permutation is decomposable"
+    else:
+        assert F_inverse(F_forward(p)) == p
+        return
+    with pytest.raises(DomainError) as refused:
+        F_forward(p)
+    assert type(refused.value) is DomainError and refused.value.args == (expected,), p
+
+
 def test_F_inverse_examples():
     assert str(F_inverse(parse("3(3(1(0) 1(0)))"))) == "361542"
     assert str(F_inverse(parse("0"))) == "1"
@@ -393,10 +418,11 @@ def test_forest_rejects_exactly_the_1342_containers():
 
 
 def test_contains_1342_matches_subset_scan():
+    # the extents pass refuses exactly the 1342 containers
     for n in range(0, 8):
         for vals in permutations(range(1, n + 1)):
             expected = oracle_contains(vals, P1342.values)
-            assert _contains_1342(vals, _beat_extents(vals)[0]) == expected, vals
+            assert extents_refuse_1342(vals) == expected, vals
 
 
 def test_beat_extents_match_the_matrices():
@@ -405,6 +431,8 @@ def test_beat_extents_match_the_matrices():
 
     for n in range(0, 8):
         for vals in permutations(range(1, n + 1)):
+            if oracle_contains(vals, P1342.values):
+                continue  # refused, see test_contains_1342_matches_subset_scan
             last_beaten, max_reach = _beat_extents(vals)
             assert last_beaten == [last_true(row) for row in oracle_beats_matrix(vals)], vals
             assert max_reach == [last_true(row) for row in oracle_reaches_matrix(vals)], vals

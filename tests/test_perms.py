@@ -27,10 +27,9 @@ from avoid1342 import (
     same_class,
     t_closed,
 )
-from avoid1342.bijections import _beat_extents, _contains_1342
 from avoid1342.errors import DomainError
 
-from conftest import perm_strategy, random_valid_tree
+from conftest import extents_refuse_1342, perm_strategy, random_valid_tree
 from oracles import (
     oracle_avoiders,
     oracle_contains,
@@ -165,7 +164,7 @@ def test_contains_on_long_tree_avoiders():
             i = rng.randrange(len(vals) - 1)
             j = i + 1 if draw % 2 else rng.randrange(i + 1, len(vals))
             vals[i], vals[j] = vals[j], vals[i]
-            expected = _contains_1342(vals, _beat_extents(vals)[0])
+            expected = extents_refuse_1342(vals)
             assert contains(Permutation(tuple(vals)), P1342) == expected, (seed, i, j)
             outcomes.add(expected)
     assert outcomes == {False, True}

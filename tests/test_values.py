@@ -4,9 +4,12 @@ import pickle
 
 import pytest
 
-from avoid1342 import ClassSignature, LabeledPlaneTree, Permutation, ShapeFlags, parse
+from avoid1342 import (ClassSignature, F_forward, F_inverse, InvalidTreeError, LabeledPlaneTree,
+                       Permutation, ShapeFlags, generate_all_beta01, parse, postorder_positions,
+                       serialize)
 
 TREE = parse("1(0 1(0))")
+PATH = parse("0(" * 1999 + "0" + ")" * 1999)  # 2 000 nodes, deeper than the recursion limit
 
 #: (instance, its repr, its hash, its fields by keyword)
 CASES = [
@@ -18,8 +21,10 @@ CASES = [
      hash((True, False)), {"single_path": True, "all_zero_labels": False}),
     (TREE, "parse('1(0 1(0))')", hash(((0, 0), (0, 0), (1, 1), (1, 2))),
      {"label": 1, "children": TREE.children}),
+    (PATH, f"parse({serialize(PATH)!r})", hash(((0, 0),) + ((0, 1),) * 1999),
+     {"label": 0, "children": PATH.children}),
 ]
-IDS = [type(case[0]).__name__ for case in CASES]
+IDS = [type(case[0]).__name__ for case in CASES[:-1]] + ["LabeledPlaneTree-path2000"]
 
 
 @pytest.mark.parametrize("value,text,hashed,fields", CASES, ids=IDS)
@@ -42,6 +47,23 @@ def test_immutable(value, text, hashed, fields):
     assert {name: getattr(value, name) for name in fields} == fields
 
 
+def test_leaves_of_built_trees_are_immutable():
+    # the builders share one zero leaf, so none may be changed through any tree
+    for n in range(1, 7):
+        for tree in generate_all_beta01(n):
+            for built in (parse(serialize(tree)), F_forward(F_inverse(tree))):
+                assert built == tree
+                for leaf in postorder_positions(built):
+                    if leaf.children:
+                        continue
+                    for name in ("label", "children"):
+                        with pytest.raises(AttributeError):
+                            setattr(leaf, name, None)
+                        with pytest.raises(AttributeError):
+                            delattr(leaf, name)
+                    assert (leaf.label, leaf.children) == (0, ())
+
+
 @pytest.mark.parametrize("value,text,hashed,fields", CASES, ids=IDS)
 def test_pickle_and_deepcopy_round_trips(value, text, hashed, fields):
     copies = [pickle.loads(pickle.dumps(value, protocol))
@@ -49,6 +71,17 @@ def test_pickle_and_deepcopy_round_trips(value, text, hashed, fields):
     for twin in [*copies, copy.deepcopy(value), copy.copy(value)]:
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hashed and repr(twin) == text
+
+
+def test_flat_tree_pickle_checks_what_it_rebuilds():
+    rebuild, (labels, counts) = PATH.__reduce__()
+    assert (len(labels), set(labels), counts[:2]) == (2000, {0}, (0, 1))
+    assert rebuild(labels, counts) == PATH
+    for bad in [((0,), (1,)), ((0, 0), (0, 2)), ((0, 0), (0, 0)), ((), ())]:
+        with pytest.raises(InvalidTreeError, match="child counts do not describe a tree"):
+            rebuild(*bad)
+    with pytest.raises(InvalidTreeError, match="negative label"):
+        rebuild((0, -1), (0, 1))
 
 
 def test_equality_within_the_class_only():
