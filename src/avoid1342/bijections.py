@@ -71,7 +71,7 @@ def _beat_extents(vals: tuple[int, ...]) -> tuple[list[int], list[int]]:
     reach_at = [-1] * (n + 2)
     last_beaten = [-1] * n
     max_reach = [-1] * n
-    larger: list[int] = []  # the left-to-right maxima of the entries passed, the last on top
+    larger: list[int] = []  # the left-to-right maxima of the entries passed, the leftmost on top
     for i in range(n - 1, -1, -1):
         lo, v = prefix_min[i] + 1, vals[i]
         while larger and larger[-1] < v:
