@@ -6,9 +6,12 @@ A subclass names its fields in ``__slots__`` and, in the same order, in
 which refuses every assignment.  As for a frozen dataclass, equality holds
 within one class only and the hash is that of the tuple of the fields, so
 sets and dicts of these values iterate in the same order as they did when
-the classes were dataclasses.  Pickling and copying call the constructor
-again, which checks the fields once more; ``LabeledPlaneTree`` overrides
-``__reduce__`` with a flat form, so that a deep tree needs no recursion.
+the classes were dataclasses.  ``copy.copy`` and ``copy.deepcopy`` return
+the value itself, since nothing can change it.  Pickling calls the
+constructor again, which checks the fields once more.  ``LabeledPlaneTree``
+overrides the four methods that read ``_fields`` and so defines none:
+equality, hash and repr go by its reading order, and ``__reduce__`` gives a
+flat form, so that a deep tree needs no recursion.
 """
 
 
@@ -34,6 +37,12 @@ class Frozen:
 
     def __reduce__(self):
         return type(self), self._fields()
+
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

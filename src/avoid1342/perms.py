@@ -29,13 +29,14 @@ keeps one occurrence per key of a level, replacing it when a new one
 dominates it.  Levels whose dominance is equality are left alone.  For the
 pattern 12...k that leaves one occurrence per level.
 
-The walk and ``contains`` share one occurrence state: the last level is
-kept only as the bitmask ``forbid`` of the values that would complete an
-occurrence, and the one below it as ``pending``.  ``_occurrence_state`` sets
-it up and returns the one step that appends a value to the prefix.  The
-walk skips a candidate in ``forbid`` before it is appended and restores the
-state when it backs up; ``contains`` takes the step once per entry of its
-one permutation and stops at the first value in ``forbid``.
+The walk and ``contains`` share one occurrence state: every level is a
+list of occurrences but the last, which is kept only as the bitmask
+``forbid`` of the values that would complete an occurrence.
+``_occurrence_state`` sets it up and returns the one step that appends a
+value to the prefix.  The walk skips a candidate in ``forbid`` before it is
+appended and restores the state when it backs up; ``contains`` takes the
+step once per entry of its one permutation and stops at the first value in
+``forbid``.
 """
 from __future__ import annotations
 
@@ -160,11 +161,11 @@ def contains(p: Permutation, q: Permutation) -> bool:
     (``_occurrence_state``) once per entry and stops at the first value in
     ``forbid``; a permutation has no backtracking, so nothing is copied or
     truncated.  It drops dominated occurrences as the walk does.  On a
-    2-core 2 GHz machine it takes 0.01 s for 1342 on a 1342-avoider of
-    length 2000 from a random recursive tree, and as long for 132 on its
-    ``normalize`` representative; 1243 on the identity of length 2000
-    takes 0.02 s.  The slowest patterns of length 4 on the identity or the
-    reverse take 0.06 s at n = 300, 1.0 s at n = 1000 and 3.4 s at
+    2-core VM with Python 3.11 it takes 0.02 s for 1342 on a 1342-avoider
+    of length 2000 from a random recursive tree, 0.005 s for 132 on its
+    ``normalize`` representative, and 0.01 s for 1243 on the identity of
+    length 2000.  The slowest patterns of length 4 on the identity or the
+    reverse take 0.04 s at n = 300, 0.8 s at n = 1000 and 2-3 s at
     n = 2000: where dominance at a level is equality, as at q[:1] when
     q[0] is neither 1 nor len(q), every entry stays there.
 
@@ -179,7 +180,7 @@ def contains(p: Permutation, q: Permutation) -> bool:
         raise DomainError("pattern must be nonempty")
     if k > n:
         return False
-    _, pending, forbid, extend = _occurrence_state(n, q)
+    _, forbid, extend = _occurrence_state(n, q)
     used = 0
     replaced: list = []  # never read: nothing backs up
     for c, v in enumerate(vals, start=1):
@@ -187,7 +188,7 @@ def contains(p: Permutation, q: Permutation) -> bool:
         if forbid & bit:
             return True
         used |= bit
-        forbid = extend(v, c, used, forbid, pending, replaced)
+        forbid = extend(v, c, used, forbid, replaced)
     return False
 
 
@@ -417,79 +418,63 @@ def _dominant(rule: tuple | None):
 def _occurrence_state(n: int, q: Sequence[int]):
     """The occurrence state (see ``_walk``) of the empty prefix for q in 1..n, and its step.
 
-    ``extend(v, c, used, forbid, pending, undo) -> forbid`` appends v as entry
-    c of a prefix whose values are then ``used``; levels and pending change in
-    place, and each occurrence that a dominating one replaces is logged to
-    ``undo`` as (level, index, occurrence).
+    ``extend(v, c, used, forbid, undo) -> forbid`` appends v as entry c of a
+    prefix whose values are then ``used``; levels change in place, and each
+    occurrence that a dominating one replaces is logged to ``undo`` as
+    (level, index, occurrence).
     """
     k = len(q)
     ranks = [sum(1 for a in range(j) if q[a] < q[j]) for j in range(k)]
     base = (0, n + 1)
-    everything = _gap(base, 0)
-    levels = [[base]] + [[] for _ in range(k - 3)] if k > 2 else []
-    pending = {everything: everything} if k == 2 else {}
-    forbid = everything if k == 1 else 0
-    # appending w to a level k - 2 occurrence t puts it at index R + 1 of
-    # t's extension, and the gap of q[-1] there starts at index H
-    R, H = (ranks[k - 2], ranks[k - 1]) if k > 1 else (0, 0)
-    below, above = H == R, H == R + 1  # the gap of q[-1] ends or starts at w
-    fixed = H if H < R else H - 1  # otherwise it is t's gap at this index
-    # then the one relevant gap of level k - 2 is its gap for q[-2]; at a
-    # frame, those gaps nest, so pending keeps only the largest
-    nested = (below or above) and R in (0, k - 2)
+    levels = [[base]] + [[] for _ in range(k - 2)]
+    forbid = _gap(base, 0) if k == 1 else 0
+    top = levels[-1]  # level k - 2
+    # v in t's gap there sits at index R + 1 of t + v, whose gap of q[-1]
+    # runs from index H to H + 1: as indices of t, None where the end is v
+    R, H = ranks[k - 2], ranks[-1]
+    low = H if H <= R else None if H == R + 1 else H - 1
+    high = H + 1 if H < R else None if H == R else H
+    fixed = None if low is None or high is None else low  # that gap is t's own
     # level j keeps one occurrence per key of its rule (see ``_order``)
-    slots: list = [None] * (k - 2)
-    for j in range(1, k - 2):
+    slots: list = [None] * (k - 1)
+    for j in range(1, k - 1):
         _, rule = _order(q, j)
         if rule:
             slots[j] = (*rule, {})
 
-    def extend(v: int, c: int, used: int, forbid: int, pending: dict[int, int], undo: list) -> int:
-        bit = 1 << v
-        for g in [g for g in pending if g & bit]:
-            if below:
-                forbid |= g & (bit - 1)
-            elif above:
-                forbid |= g & -(bit << 1)
-            else:
-                forbid |= pending.pop(g)
+    def extend(v: int, c: int, used: int, forbid: int, undo: list) -> int:
+        for t in top:
+            if t[R] < v < t[R + 1]:
+                end = v if high is None else t[high]
+                forbid |= (1 << end) - (2 << (v if low is None else t[low]))
         avail = ~(used | forbid)
         # an occurrence of q[:j + 1] made now forbids position c + k - j - 1 first
         for j in range(k - 3, max(c + k - n - 1, 0) - 1, -1):
-            r = ranks[j]
+            r, r1 = ranks[j], ranks[j + 1]
+            level, slot = levels[j + 1], slots[j + 1]
+            part = fixed if level is top else None
             for t in levels[j]:
                 if t[r] < v < t[r + 1]:
                     t = t[:r + 1] + (v,) + t[r + 1:]
-                    g = _gap(t, ranks[j + 1]) & avail
-                    if not g:
+                    if not _gap(t, r1) & avail:
                         continue
-                    if j < k - 3:
-                        level, slot = levels[j + 1], slots[j + 1]
-                        if slot is None:
-                            level.append(t)
-                            continue
-                        key, b, sign, index = slot
-                        kt = key(t)
-                        i = index.get(kt, len(level))
-                        if i >= len(level) or key(level[i]) != kt:  # none has t's key
-                            index[kt] = len(level)
-                            level.append(t)
-                        elif sign * (t[b] - level[i][b]) < 0:  # t dominates
-                            undo.append((level, i, level[i]))
-                            level[i] = t
+                    if part is not None and not _gap(t, part) & avail:
+                        continue  # it could forbid no value left
+                    if slot is None:
+                        level.append(t)
                         continue
-                    part = g if below or above else _gap(t, fixed) & avail
-                    if not part:
-                        continue
-                    if nested and pending:
-                        (old,) = pending
-                        if not g & ~old:
-                            continue
-                        del pending[old]
-                    pending[g] = pending.get(g, 0) | part
+                    key, b, sign, index = slot
+                    kt = key(t)
+                    i = index.get(kt, len(level))
+                    if i >= len(level) or key(level[i]) != kt:  # none has t's key
+                        index[kt] = len(level)
+                        level.append(t)
+                    elif sign * (t[b] - level[i][b]) < 0:  # t dominates
+                        undo.append((level, i, level[i]))
+                        level[i] = t
         return forbid
 
-    return levels, pending, forbid, extend
+    return levels, forbid, extend
 
 
 def _walk(
@@ -519,18 +504,14 @@ def _walk(
     up restores the logged ones and truncates each level to its length at
     that depth.
 
-    The top two levels are folded into bitmasks.  Level k - 1 is
-    ``forbid``, the union of its gaps for q[-1]: a candidate in ``forbid``
-    would complete q and is skipped before it is appended.  Level k - 2 is
-    ``pending``, which maps each of its gaps for q[-2] to what a value
-    there adds to ``forbid``.  That part is fixed by the occurrence, so
-    occurrences with one gap merge, and it is added once -- unless q[-1]
-    is next to q[-2] in value: then it is the part of the gap beyond the
-    value, and the gap stays pending.  If that gap also has a frame as one
-    end, the pending gaps nest, and only the largest is kept.  Since a gap
-    can leave ``pending``, each depth keeps its own copy.  No occurrence is
-    kept whose gap (or pending part) holds no value that is neither used
-    nor forbidden, or that is made too late to forbid a position <= n.
+    Only the top level is folded: level k - 1 is ``forbid``, the union of
+    its gaps for q[-1], so a candidate in ``forbid`` would complete q and
+    is skipped before it is appended.  Appending v to an occurrence t of
+    level k - 2 adds the gap of q[-1] in t + v to ``forbid``, its ends read
+    off t and v without building t + v.  No occurrence is kept whose gap
+    for its next entry holds no value that is neither used nor forbidden,
+    or that is made too late to forbid a position <= n; nor is one of level
+    k - 2 whose gap of q[-1], where that is a gap of t, holds no such value.
 
     Appending a value is the one step ``extend`` that ``_occurrence_state``
     returns and ``contains`` takes too; the walk saves and restores around it.
@@ -541,9 +522,9 @@ def _walk(
         return
     if first is None:
         first = range(1, n + 1)
-    levels, pending, forbid, extend = _occurrence_state(n, q)
+    levels, forbid, extend = _occurrence_state(n, q)
     vals: list[int] = []
-    saved: list[tuple[int, int, list[int], int, dict[int, int]]] = []
+    saved: list[tuple[int, int, list[int], int]] = []
     undo: list[tuple[list, int, tuple[int, ...]]] = []
     used = low = 0  # bitmask of the prefix's values, its minimum once nonempty
     v, stop = first.start, first.stop  # next candidate and bound at this depth
@@ -554,7 +535,7 @@ def _walk(
                 return
             v = vals.pop()
             used ^= 1 << v
-            forbid, low, lengths, replaced, pending = saved.pop()
+            forbid, low, lengths, replaced = saved.pop()
             while len(undo) > replaced:
                 level, i, t = undo.pop()
                 level[i] = t
@@ -575,10 +556,9 @@ def _walk(
         if indecomposable and new_low == n - c + 1:
             v += 1
             continue
-        saved.append((forbid, low, [len(level) for level in levels], len(undo), pending))
-        pending = dict(pending)
+        saved.append((forbid, low, [len(level) for level in levels], len(undo)))
         used |= 1 << v
-        forbid = extend(v, c, used, forbid, pending, undo)
+        forbid = extend(v, c, used, forbid, undo)
         vals.append(v)
         low = new_low
         # a forbidden value left must still be placed: back up at once

@@ -18,22 +18,23 @@ the node itself (commonly called post-order; some sources name this reading
 it every subtree occupies a contiguous span of positions ending at its top
 node, and the root sits at position n.  Every walk over a tree is a loop over
 this reading order (``postorder_positions``), never a recursion, so only
-memory limits how deep a tree may be.  Code that needs more than one look at
-a tree takes it once into arrays indexed by reading position (labels,
-parents, child lists; ``_reading_arrays``), checks it there
+memory limits how deep a tree may be; ``serialize`` alone loops in pre-order,
+the order of the text, so it writes each token once.  Code that needs more
+than one look at a tree takes it once into arrays indexed by reading position
+(labels, parents, child lists; ``_reading_arrays``), checks it there
 (``_labels_valid``, the one home of the validity rule) and builds trees back
 from arrays with each node made once (``_from_arrays``).  The generators are
 loops too: they step the pre-order subtree sizes of a shape, or the labels in
 reading order, like an odometer.
 
 Trees are immutable and compare by structure, so the builders here (``parse``,
-``_from_arrays``, the generators and ``path_shape``) share one leaf with
-label 0, ``_LEAF``; ``LabeledPlaneTree(0)`` itself still makes a new node.  A
-tree pickles and copies flat, as its reading-order labels and child counts,
-rebuilt by one loop through the constructor, so depth does not matter there
-either.  Generation streams are restartable, and the shape level is exposed
-separately (``iter_shapes`` + ``iter_valid_labelings``) so callers can
-consume shapes in parallel.  ``count_beta01`` counts the same trees
+``_from_arrays``, the generators and ``path_shape``) share one leaf with label
+0, ``_LEAF``; ``LabeledPlaneTree(0)`` itself still makes a new node.  A tree
+pickles flat, as its reading-order labels and child counts, rebuilt by one
+loop through the constructor, and a copy is the tree itself, so depth does not
+matter there either.  Generation streams are restartable, and the shape level
+is exposed separately (``iter_shapes`` + ``iter_valid_labelings``) so callers
+can consume shapes in parallel.  ``count_beta01`` counts the same trees
 without building any: it sums tables of subtrees by size and top label and of
 subtree sequences by size and label sum (``_label_sum_tables``), in O(n^4)
 integer steps, and refuses the same n as the stream: a negative n with
@@ -71,9 +72,6 @@ class LabeledPlaneTree(Frozen):
         _set_label(self, label)
         _set_children(self, tuple(children))
 
-    def _fields(self) -> tuple:
-        return (self.label, self.children)
-
     def _signature(self) -> list[tuple[int, int]]:
         return [(node.label, len(node.children)) for node in postorder_positions(self)]
 
@@ -92,7 +90,7 @@ class LabeledPlaneTree(Frozen):
         return serialize(self)
 
     def __reduce__(self):
-        # flat, so that pickling and copying a deep tree need no recursion
+        # flat, so that pickling a deep tree needs no recursion
         labels, counts = zip(*self._signature())
         return _from_signature, (labels, counts)
 
@@ -200,16 +198,26 @@ def validate_beta01(tree: LabeledPlaneTree) -> bool:
 
 
 def serialize(tree: LabeledPlaneTree) -> str:
-    """Canonical text form; ``parse`` inverts it exactly."""
-    done: list[str] = []  # texts of finished subtrees still waiting for their parent
-    for node in postorder_positions(tree):
-        text = str(node.label)
+    """Canonical text form; ``parse`` inverts it exactly.
+
+    One pre-order pass over a stack of the nodes still to write and the
+    brackets and spaces between them; the tokens are joined once.
+    """
+    tokens: list[str] = []
+    stack: list = [tree]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is str:
+            tokens.append(node)
+            continue
+        tokens.append(str(node.label))
         if node.children:
-            first = len(done) - len(node.children)
-            text += f"({' '.join(done[first:])})"
-            del done[first:]
-        done.append(text)
-    return done[0]
+            stack.append(")")
+            for kid in reversed(node.children):
+                stack.append(kid)
+                stack.append(" ")
+            stack[-1] = "("  # the space before the first child opens the list
+    return "".join(tokens)
 
 
 _LABEL = re.compile("[0-9]+")  # ASCII digits only, unlike str.isdigit and \d

@@ -472,6 +472,23 @@ def test_every_pattern_of_five_against_full_scan(pattern):
             assert count_avoiders(n, q, selection) == len(expected), (n, selection)
 
 
+_PATTERNS_OF_FOUR = ["".join(map(str, q)) for q in iter_permutations(range(1, 5))]
+
+
+@pytest.mark.parametrize(
+    "pattern", [*_PATTERNS_OF_FOUR, "135642", "246135", "315264", "625314", "142536", "362514"]
+)
+def test_walk_agrees_with_the_count_at_seven(pattern):
+    # where the gap of q[-1] lies against the value of q[-2] decides how the
+    # walk forbids: below it (1342), ending at it (1243), starting at it
+    # (1234) or above it (1324); the patterns of four take each case six times
+    q = P(pattern)
+    for selection in _ORACLE_SELECTIONS:
+        stream = [p.values for p in iter_avoiders(7, q, selection)]
+        assert all(a < b for a, b in zip(stream, stream[1:])), selection
+        assert len(stream) == count_avoiders(7, q, selection), selection
+
+
 def test_walk_backs_up_from_a_dead_prefix():
     # a prefix whose values left include one that completes 21 has no
     # completion; walking on from it would try exponentially many prefixes

@@ -1,4 +1,5 @@
 import sys
+import time
 from itertools import product
 
 import pytest
@@ -270,6 +271,16 @@ def test_deep_path_needs_no_recursion():
     assert classify_shape(back).single_path
     comb = "0(0 " * n + "0" + ")" * n  # a leaf beside every node of a deep path
     assert serialize(parse(comb)) == comb
+
+
+def test_serialize_is_linear_on_a_deep_path():
+    n = 200_000
+    tree = path_shape(n)
+    start = time.perf_counter()
+    text = serialize(tree)
+    elapsed = time.perf_counter() - start
+    assert text == "0(" * (n - 1) + "0" + ")" * (n - 1)
+    assert elapsed < 1.0, f"serialize took {elapsed:.2f} s on a {n}-node path"
 
 
 def test_generation_order_matches_the_recursive_oracle():

@@ -73,6 +73,15 @@ def test_pickle_and_deepcopy_round_trips(value, text, hashed, fields):
         assert twin == value and hash(twin) == hashed and repr(twin) == text
 
 
+@pytest.mark.parametrize("value,text,hashed,fields", CASES, ids=IDS)
+def test_copies_are_the_value_itself(value, text, hashed, fields):
+    # immutable, so a copy need not rebuild and re-check anything
+    assert copy.copy(value) is value
+    assert copy.deepcopy(value) is value
+    held = copy.deepcopy([value, (value,)])
+    assert held[0] is value and held[1][0] is value
+
+
 def test_flat_tree_pickle_checks_what_it_rebuilds():
     rebuild, (labels, counts) = PATH.__reduce__()
     assert (len(labels), set(labels), counts[:2]) == (2000, {0}, (0, 1))
