@@ -515,14 +515,26 @@ def _walk(
 
     Appending a value is the one step ``extend`` that ``_occurrence_state``
     returns and ``contains`` takes too; the walk saves and restores around it.
+
+    The last two entries are placed in one go.  At depth n - 1, once the
+    cut check has passed v, one value w is left, and ``extend`` can only
+    grow ``forbid`` there: an occurrence it made would forbid a position
+    past n, so it changes no level and logs nothing.  The walk calls it
+    once without saving any state, yields the prefix, v and w unless w is
+    then forbidden, and goes on to the next candidate.
     """
     if n == 0:  # the empty permutation has no first entry and no blocks
         if first is None and not indecomposable:
             yield ()
         return
+    if n == 1:  # (1,) passes every selection and first entry, and avoids all but q = 1
+        if len(q) > 1:
+            yield (1,)
+        return
     if first is None:
         first = range(1, n + 1)
     levels, forbid, extend = _occurrence_state(n, q)
+    everything = (2 << n) - 2  # the bitmask of 1..n
     vals: list[int] = []
     saved: list[tuple[int, int, list[int], int]] = []
     undo: list[tuple[list, int, tuple[int, ...]]] = []
@@ -546,14 +558,14 @@ def _walk(
             continue
         v = (free & -free).bit_length() - 1
         c = len(vals) + 1
-        if c == n:  # v is the one value left, and forbid let it through
-            vals.append(v)
-            yield tuple(vals)
-            vals.pop()
-            v += 1
-            continue
         new_low = v if c == 1 or v < low else low
         if indecomposable and new_low == n - c + 1:
+            v += 1
+            continue
+        if c == n - 1:  # one value is left after v, and extend only grows forbid here
+            rest = everything ^ used ^ 1 << v
+            if not extend(v, c, used | 1 << v, forbid, undo) & rest:
+                yield (*vals, v, rest.bit_length() - 1)
             v += 1
             continue
         saved.append((forbid, low, [len(level) for level in levels], len(undo)))

@@ -25,7 +25,8 @@ than one look at a tree takes it once into arrays indexed by reading position
 (``_labels_valid``, the one home of the validity rule) and builds trees back
 from arrays with each node made once (``_from_arrays``).  The generators are
 loops too: they step the pre-order subtree sizes of a shape, or the labels in
-reading order, like an odometer.
+reading order, like an odometer, whose fastest digit, the last internal node
+before the root, runs as an inner loop that builds just that node and the root.
 
 Trees are immutable and compare by structure, so the builders here (``parse``,
 ``_from_arrays``, the generators and ``path_shape``) share one leaf with label
@@ -309,9 +310,12 @@ def iter_shapes(n: int) -> Iterator[LabeledPlaneTree]:
     There are Catalan(n-1) of them.  A shape is given by its subtree sizes
     read in pre-order, and the shapes come in lexicographic order of that
     sequence: first the root over n-1 leaves, last the path.  The sequence is
-    stepped like an odometer, so no shape needs a recursion.
+    stepped like an odometer, so no shape needs a recursion.  A negative n is
+    refused with ``DomainError`` at the first ``next()``.
     """
-    if n < 1:
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
+    if n == 0:
         return
     size = [n] + [1] * (n - 1)
     while True:
@@ -352,24 +356,37 @@ def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
 
     That is lexicographic order of the labels in reading order, where the
     root's label is its child sum and every other internal node ranges over
-    0..1 + (child sum).  The labels of the internal nodes are stepped like an
-    odometer, and only the internal nodes from the changed one on are built
-    anew.
+    0..1 + (child sum).  The fastest label is that of ``last``, the last
+    internal node before the root in reading order; it is a child of the
+    root, since any other ancestor would come after it.  An inner loop runs
+    it, building just ``last`` over its fixed children and the root over its
+    other children.  The labels of the other internal nodes are stepped like
+    an odometer, and only the internal nodes from the changed one on are
+    built anew.
     """
     _, parent, kids = _reading_arrays(shape)
     n = len(kids) - 1
     internal = [pos for pos in range(1, n + 1) if kids[pos]]  # the root last
+    if len(internal) < 2:  # a single node, or the root over leaves: one labeling
+        yield _from_arrays([0] * (n + 1), kids)
+        return
+    *outer, last, _ = internal
+    slot = kids[n].index(last)
     label = [0] * (n + 1)
-    child_sum = [0] * (n + 1)
+    child_sum = [0] * (n + 1)  # the root's leaves out ``last``, whose label stays 0 here
     built = [_LEAF] * (n + 1)  # leaves never change
     start = 0
     while True:
-        label[n] = child_sum[n]
-        for pos in internal[start:]:
+        for pos in outer[start:]:
             built[pos] = LabeledPlaneTree(label[pos], tuple([built[c] for c in kids[pos]]))
-        yield built[n]
-        for start in range(len(internal) - 2, -1, -1):
-            pos = internal[start]
+        below = tuple([built[c] for c in kids[last]])
+        top = [built[c] for c in kids[n]]
+        base = child_sum[n]
+        for k in range(child_sum[last] + 2):
+            top[slot] = LabeledPlaneTree(k, below)
+            yield LabeledPlaneTree(base + k, tuple(top))
+        for start in range(len(outer) - 1, -1, -1):
+            pos = outer[start]
             if label[pos] <= child_sum[pos]:
                 label[pos] += 1
                 child_sum[parent[pos]] += 1

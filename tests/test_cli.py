@@ -1,10 +1,14 @@
 import ast
+import contextlib
+import io
 import json
 import pathlib
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avoid1342 import (
     IntegralityError,
@@ -18,7 +22,7 @@ from avoid1342 import (
     perms,
     trees,
 )
-from avoid1342.cli import main
+from avoid1342.cli import QUADRATIC_CEILING, main
 
 S1342_VALUES = [1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662]
 
@@ -601,3 +605,106 @@ def test_identical_invocations_identical_bytes(capsys):
     first = run(capsys, "sequence", "--pattern", "1342", "--upto", "8", "--method", "closed")
     second = run(capsys, "sequence", "--pattern", "1342", "--upto", "8", "--method", "closed")
     assert first == second
+
+
+#: integer option texts beside the in-range ones: empty, a float, a hex
+#: literal, and non-ASCII digits, which ``int`` reads (3 and 13)
+ODD_INTS = ["", "1e3", "0x3", "-0", "\u0663", "\u0661\u0663"]
+#: permutation and tree texts that no parser accepts as they stand
+MALFORMED = ["", "1x", "1, 2", "1,,2", "0", "11", "\u0661\u0662", "1," + "9" * 5000,
+             "0(", "0()", "0( 0)", "01", "0(0 )", "0(0),", ","]
+
+
+def mostly(valid, odd):
+    """``valid`` three times in four, else one of the ``odd`` values."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else st.sampled_from(odd))
+
+
+def ints(hi):
+    return mostly(st.integers(-1, hi).map(str), ODD_INTS)
+
+
+@st.composite
+def perm_texts(draw):
+    vals = draw(st.permutations(range(1, draw(st.integers(1, 8)) + 1)))
+    return draw(st.sampled_from(["".join, ",".join]))([str(v) for v in vals])
+
+
+@st.composite
+def tree_texts(draw):
+    """A tree on 1-8 nodes, labeled validly but for one label sometimes raised by 1."""
+    depth = [0]  # by pre-order index
+    for _ in range(draw(st.integers(0, 7))):
+        depth.append(draw(st.integers(1, depth[-1] + 1)))
+    kids = [[] for _ in depth]
+    open_nodes = []  # the path from the root to the last node
+    for i, d in enumerate(depth):
+        del open_nodes[d:]
+        if open_nodes:
+            kids[open_nodes[-1]].append(i)
+        open_nodes.append(i)
+    label, text = [0] * len(depth), [""] * len(depth)
+    for i in range(len(depth) - 1, -1, -1):  # children first
+        below = sum(label[c] for c in kids[i])
+        label[i] = below if i == 0 else draw(st.integers(0, below + 1)) if kids[i] else 0
+    if draw(st.booleans()):
+        label[draw(st.integers(0, len(depth) - 1))] += 1
+    for i in range(len(depth) - 1, -1, -1):
+        text[i] = str(label[i]) + (f"({' '.join(text[c] for c in kids[i])})" if kids[i] else "")
+    return text[0]
+
+
+@st.composite
+def argvs(draw):
+    """One call of count, sequence, generate, normalize or map, at sizes that finish fast."""
+    named = st.sampled_from(["1342", "1234", "2413"])  # only the first two have closed forms
+    patterns = mostly(st.one_of(perm_texts(), named), MALFORMED)
+    flag = lambda name, values: [name, draw(values)] if draw(st.booleans()) else []
+    command = draw(st.sampled_from(["count", "sequence", "generate", "normalize", "map"]))
+    if command in ("count", "sequence"):
+        method = draw(mostly(st.sampled_from(["brute", "closed", "series", "convolution"]),
+                             ["fast"]))
+        sizes = ints(9) if method == "brute" else ints(60)
+        if method != "brute":
+            patterns = mostly(named, MALFORMED)
+        if method in ("series", "convolution"):  # above their ceiling: refused before work
+            sizes = st.one_of(sizes, st.just(str(QUADRATIC_CEILING + 1)))
+        argv = [command, "--pattern", draw(patterns), "--n" if command == "count" else "--upto",
+                draw(sizes), "--method", method]
+        if command == "sequence":
+            argv += flag("--format", mostly(st.sampled_from(["text", "csv", "json"]), ["xml"]))
+        return argv + flag("--max-brute-n", ints(9)) + flag("--workers", ints(2))
+    if command == "generate":
+        kind = draw(mostly(st.sampled_from(["trees", "avoiders"]), ["forests"]))
+        count_only = draw(st.booleans())
+        argv = [command, kind, "--n", draw(ints(8 if kind == "trees" or count_only else 7))]
+        argv += draw(mostly(patterns.map(lambda text: ["--pattern", text]), [[]]))
+        argv += ["--count-only"] * count_only
+        argv += [name for name in ("--indecomposable", "--first-entry-1") if draw(st.booleans())]
+        return argv + flag("--max-brute-n", ints(9))
+    if command == "normalize":
+        return [command, draw(mostly(perm_texts(), MALFORMED))]
+    direction = draw(mostly(st.sampled_from(["perm-to-tree", "perm-to-forest", "tree-to-perm",
+                                             "forest-to-perm"]), ["tree-to-tree"]))
+    if direction.startswith("perm"):
+        return [command, direction, draw(mostly(perm_texts(), MALFORMED))]
+    texts = mostly(tree_texts(), MALFORMED + ["1" + "0" * 5000 + "(0)"])
+    if direction == "forest-to-perm":
+        texts = st.lists(texts, min_size=1, max_size=3).map(",".join)
+    return [command, direction, draw(texts)]
+
+
+@settings(max_examples=300, deadline=2000)
+@given(argvs())
+def test_every_call_exits_by_the_error_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as refused:  # argparse refuses with the process's exit code
+            code = refused.code
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code in (2, 3):
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines()
+        assert any(line.startswith("error: ") or ": error: " in line for line in lines), argv

@@ -1,6 +1,7 @@
 """The package surface and what each CLI command loads at start-up."""
 import ast
 import importlib
+import os
 import pathlib
 import subprocess
 import sys
@@ -93,3 +94,16 @@ def test_light_commands_load_no_heavy_layer():
     assert lines[:4] == ["32415", "103", "56", "56"]
     found = ast.literal_eval(lines[-1])
     assert found == {"import": [], **{" ".join(argv): [0] for argv in LIGHT_COMMANDS}}
+
+
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["count", "--pattern", "1342", "--n", "6", "--method", "closed"], 0, "512\n", ""),
+    (["normalize", "1x"], 2, "", "error: unreadable permutation text: '1x'\n"),
+])
+def test_python_dash_m_runs_the_cli_and_exits_with_its_code(argv, code, out, err):
+    # through __main__ and cli.entrypoint's sys.exit, as the benchmark and users call it
+    src = str(pathlib.Path(avoid1342.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    child = subprocess.run([sys.executable, "-m", "avoid1342", *argv], capture_output=True,
+                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert (child.returncode, child.stdout, child.stderr) == (code, out, err)

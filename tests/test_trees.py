@@ -285,7 +285,7 @@ def test_serialize_is_linear_on_a_deep_path():
 
 def test_generation_order_matches_the_recursive_oracle():
     # the order of ``generate trees`` is part of its output bytes
-    for n in range(0, 8):
+    for n in range(0, 10):
         shapes = oracle_shapes(n)
         assert [serialize(t) for t in iter_shapes(n)] == [oracle_tree_text(s) for s in shapes]
         expected = [oracle_tree_text(t) for s in shapes for t in oracle_labelings(s)]
@@ -373,7 +373,10 @@ def test_negative_n_is_a_domain_error_as_in_perms():
         count_beta01(-1)
     with pytest.raises(DomainError) as stream:
         next(generate_all_beta01(-1, ceiling=0))
-    assert str(count.value) == str(stream.value) == str(avoiders.value) == "n must be nonnegative, got -1"
+    with pytest.raises(DomainError) as shapes:  # at the first next(), as the stream refuses
+        next(iter_shapes(-1))
+    assert (str(count.value) == str(stream.value) == str(avoiders.value) == str(shapes.value)
+            == "n must be nonnegative, got -1")
 
 
 def test_unrank_names_every_tree_once():
