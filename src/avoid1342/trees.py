@@ -373,7 +373,7 @@ def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
     *outer, last, _ = internal
     slot = kids[n].index(last)
     label = [0] * (n + 1)
-    child_sum = [0] * (n + 1)  # the root's leaves out ``last``, whose label stays 0 here
+    child_sum = [0] * (n + 1)  # the root's omits ``last``, labeled by the inner loop only
     built = [_LEAF] * (n + 1)  # leaves never change
     start = 0
     while True:

@@ -659,7 +659,10 @@ def argvs(draw):
     """One call of count, sequence, generate, normalize or map, at sizes that finish fast."""
     named = st.sampled_from(["1342", "1234", "2413"])  # only the first two have closed forms
     patterns = mostly(st.one_of(perm_texts(), named), MALFORMED)
-    flag = lambda name, values: [name, draw(values)] if draw(st.booleans()) else []
+
+    def flag(name, values):
+        return [name, draw(values)] if draw(st.booleans()) else []
+
     command = draw(st.sampled_from(["count", "sequence", "generate", "normalize", "map"]))
     if command in ("count", "sequence"):
         method = draw(mostly(st.sampled_from(["brute", "closed", "series", "convolution"]),

@@ -103,7 +103,6 @@ def test_light_commands_load_no_heavy_layer():
 def test_python_dash_m_runs_the_cli_and_exits_with_its_code(argv, code, out, err):
     # through __main__ and cli.entrypoint's sys.exit, as the benchmark and users call it
     src = str(pathlib.Path(avoid1342.__file__).resolve().parent.parent)
-    path = os.pathsep.join([src] + [p for p in [os.environ.get("PYTHONPATH")] if p])
     child = subprocess.run([sys.executable, "-m", "avoid1342", *argv], capture_output=True,
-                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
