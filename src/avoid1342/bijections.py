@@ -15,20 +15,22 @@ The labels of ``F_forward`` are driven by two relations on entries: ``beats``
 transitive closure along increasing positions).  Entries are attached to tree
 nodes by the children-first reading order of :mod:`avoid1342.trees`.
 
-``F`` and the shape map work on arrays indexed by reading position (labels,
-parents, child lists) from start to finish.  ``F_forward`` makes one
+``F`` and the shape map work on arrays indexed by reading position (labels
+and child lists, no parents) from start to finish.  ``F_forward`` makes one
 right-to-left pass for the extents of ``beats`` and ``reaches``, which also
 refuses 1342 from the next larger entry of each entry, reads
 indecomposability off N(p), which has the left-to-right minima of p and so its
 skew cuts, takes the child lists of N(p) from one next-larger-to-the-right
-pass, checks them exactly, computes the labels in one loop, checks validity on
-the arrays and builds each internal node once, sharing the zero leaf of
-``trees``.  ``F_inverse`` walks its tree once into the same arrays, and the
-validity check, the shape's values and the minima are all read off them.  A
-block of its greedy is a list of positions with its top last and the largest
-of its run of values, and each value finds its node by one descent from the
-top; one loop over a split block checks both that it is one component and
-that its minima lie in its values.
+pass (exact, as N(p) avoids 132; only ``perm_to_shape``, whose permutation
+comes from outside, checks them), computes the labels in one loop, checks
+validity on the arrays and builds each internal node once, sharing the zero
+leaf of ``trees``.  ``F_inverse`` walks its tree once into
+the same arrays, and the validity check, the shape's values and the minima
+are all read off them.  A block of its greedy is a list of positions with its
+top last and the largest of its run of values, and each value finds its node
+by one descent from the top; one loop over a split block drops the links into
+earlier blocks, counts its components as nodes less links and checks that its
+minima lie in its values.
 
 Both directions of ``f`` rest on ``perms._normalize_values``, the 132 fill of
 a run of minima.  A path labeling gives the suffix minima of p, and with
@@ -181,7 +183,7 @@ def f_inverse(tree: LabeledPlaneTree) -> Permutation:
     >>> str(f_inverse(parse("0(0(2(1(0))))")))
     '14325'
     """
-    label, _, kids = _reading_arrays(tree)
+    label, kids = _reading_arrays(tree)
     if any(len(child_positions) > 1 for child_positions in kids):
         raise DomainError("tree is not a single path")
     if not _labels_valid(label, kids):
@@ -205,7 +207,7 @@ def shape_to_perm(tree: LabeledPlaneTree) -> Permutation:
     >>> str(shape_to_perm(LabeledPlaneTree(0, (LabeledPlaneTree(0), LabeledPlaneTree(0)))))
     '213'
     """
-    label, _, kids = _reading_arrays(tree)
+    label, kids = _reading_arrays(tree)
     if any(label):
         raise DomainError("tree has a nonzero label")
     return Permutation(tuple(_shape_to_vals(kids)))
@@ -232,10 +234,9 @@ def _shape_kids(vals: Sequence[int]) -> list[list[int]]:
     """Child lists by reading position (index 0 unused) of the shape of ``vals``.
 
     Each entry's parent is the next larger entry to its right, found in one
-    pass over a stack of the entries still waiting for one.  ``_shape_to_vals``
-    maps the shapes onto the 132-avoiders ending with n and this pass inverts
-    it there, so checking that it maps the child lists back to ``vals`` is an
-    exact test.
+    pass over a stack of the entries still waiting for one.  It inverts
+    ``_shape_to_vals`` on the 132-avoiders ending with n, and values that may
+    contain 132 are checked by mapping the lists back.
     """
     kids: list[list[int]] = [[]]
     waiting: list[int] = []  # positions, their values decreasing towards the top
@@ -248,13 +249,13 @@ def _shape_kids(vals: Sequence[int]) -> list[list[int]]:
         waiting.append(pos)
     if len(waiting) != 1:
         raise DomainError("permutation does not end with its largest entry")
-    if _shape_to_vals(kids) != list(vals):
-        raise DomainError("permutation contains 132")
     return kids
 
 
 def perm_to_shape(p: Permutation) -> LabeledPlaneTree:
     """Invert ``shape_to_perm``: each entry's parent is the next larger entry to its right.
+
+    The child lists must map back to p, or p contains 132.
 
     >>> str(perm_to_shape(Permutation.from_text("341256")))
     '0(0(0(0) 0(0)))'
@@ -262,6 +263,8 @@ def perm_to_shape(p: Permutation) -> LabeledPlaneTree:
     if not p.values:
         raise DomainError("the shape map needs a nonempty permutation")
     kids = _shape_kids(p.values)
+    if _shape_to_vals(kids) != list(p.values):
+        raise DomainError("permutation contains 132")
     return _from_arrays([0] * len(kids), kids)
 
 
@@ -282,7 +285,7 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     only on the left-to-right minima, which p and N(p) share, and the
     132-avoider N(p) is indecomposable iff it ends with n, so that one entry
     decides the domain after the 1342 test.  The child lists of N(p) come
-    from one next-larger-to-the-right pass, checked exactly, and one
+    from one next-larger-to-the-right pass, exact on a 132-avoider, and one
     left-to-right loop gives each subtree's first position and each label.
     The labels are checked for validity on the arrays, and the tree is built
     once at the end.
@@ -325,20 +328,23 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
     into blocks -- detectable from the minima alone -- each block continues as
     an independent subtree with its own run of consecutive values.
 
-    Nodes are reading positions.  One walk of the tree gives its labels,
-    parents and child lists; validity, the shape's values and the minima are
-    read off those arrays.  Deleting a node or cutting off a block keeps the
-    reading order of what is left, so a block is the sorted list of its
-    positions, with its top last, and the largest of its values.  The leftmost
-    node of the rule is found by one descent from the top, each step taking
-    the first child with a positive label, and the labels drop along the same
-    path.
+    Nodes are reading positions.  One walk of the tree gives its labels and
+    child lists, the only record of its links; validity, the shape's values
+    and the minima are read off those arrays.  Deleting a node or cutting off
+    a block keeps the reading order of what is left, so a block is the sorted
+    list of its positions, with its top last, and the largest of its values.
+    The leftmost node of the rule is found by one descent from the top, each
+    step taking the first child with a positive label, and the labels drop
+    along the same path; a placed node's children take its place in its
+    parent's list.  At a split each block drops the children before its first
+    position, which lie in earlier blocks, and is one component exactly when
+    it keeps one link fewer than it has nodes.
 
     >>> from avoid1342.trees import parse
     >>> str(F_inverse(parse("3(3(1(0) 1(0)))")))
     '361542'
     """
-    label, parent, kids = _reading_arrays(tree)
+    label, kids = _reading_arrays(tree)
     if not _labels_valid(label, kids):
         raise DomainError("invalid labeled tree")
     n = len(label) - 1
@@ -385,15 +391,10 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
             out[candidate] = largest
             largest -= 1
             if candidate != top:
-                for c in kids[candidate]:
-                    parent[c] = up
                 index = kids[up].index(candidate)
                 kids[up][index: index + 1] = kids[candidate]
                 nodes.remove(candidate)
-            else:
-                # no positive path: the largest value sits at the current root
-                for c in kids[top]:
-                    parent[c] = 0
+            else:  # no positive path: the largest value sits at the current root
                 nodes.pop()
 
             # Split the leftover content wherever the class forces a cut: a cut
@@ -421,20 +422,19 @@ def F_inverse(tree: LabeledPlaneTree) -> Permutation:
             start = 0
             for end in cuts:
                 block = nodes[start:end]
-                high, low, block_top = largest - start, largest + 1 - end, block[-1]
-                # parents follow their children, so a parent in the block is at most
-                # its top; a placed value in the block is a minimum
-                tops, strays = 0, False
+                high, low, head = largest - start, largest + 1 - end, block[0]
+                # children come before their parent, so a child before the head lies
+                # in an earlier block; each link left joins two nodes of this block.
+                # A placed value in the block is a minimum.
+                components, strays = len(block), False
                 for pos in block:
-                    if not 0 < parent[pos] <= block_top:
-                        tops += 1
+                    if kids[pos] and kids[pos][0] < head:
+                        kids[pos] = [c for c in kids[pos] if c >= head]
+                    components -= len(kids[pos])
                     if out[pos] and not low <= out[pos] <= high:
                         strays = True
-                if tops != 1:
-                    raise ReconstructionError(f"block with {tops} components")
-                if parent[block_top]:
-                    kids[parent[block_top]].remove(block_top)
-                    parent[block_top] = 0
+                if components != 1:
+                    raise ReconstructionError(f"block with {components} components")
                 if strays:
                     raise ReconstructionError("minimum fell outside its value block")
                 work.append((block, high))

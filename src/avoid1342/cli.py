@@ -13,10 +13,12 @@ Subcommands::
 Exit codes: 0 success, 1 verification discrepancy, 2 bad input or unsupported
 combination, 3 refused resource ceiling (``--max-brute-n`` for brute force,
 ``QUADRATIC_CEILING`` for the quadratic routes), 4 internal error (a failed
-self-check; a bug, never bad input).  ``sequence --upto 0`` refuses what
-``count --n 0`` refuses; ``sequence`` and ``verify`` check their ceilings
-before any work.  Every brute count runs in this process through
-``perms.count_avoiders``; ``--workers`` is checked and otherwise ignored.
+self-check; a bug, never bad input).  Integer options read ASCII digits after
+an optional minus, and ``--pattern`` is read as a permutation by every
+method.  ``sequence --upto 0`` refuses what ``count --n 0`` refuses;
+``sequence`` and ``verify`` check their ceilings before any work.  Every
+brute count runs in this process through ``perms.count_avoiders``;
+``--workers`` is checked and otherwise ignored.
 ``generate trees --count-only`` reads ``trees.count_beta01``, which builds no
 tree, and ``generate avoiders --count-only`` reads ``perms.count_avoiders``;
 both refuse n above ``--max-brute-n`` (default ``errors.DEFAULT_CEILING``) as
@@ -62,6 +64,21 @@ EXIT_INTERNAL = 4
 QUADRATIC_CEILING = 2500
 
 
+#: the least value of each integer option, checked in this order before any command runs
+_LEAST = {"workers": 1, "max_brute_n": 0, "n": 0, "upto": 0, "max_n": 1}
+
+
+def _integer(text: str) -> int:
+    """Read an integer option as permutation text is read: ASCII digits after an optional minus."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's cap on digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _check_brute_ceiling(lo: int, hi: int, ceiling: int) -> None:
     """Refuse n = lo..hi before any work, with the enumerator's line for the first n too large."""
     if lo <= hi and hi > ceiling:
@@ -70,16 +87,16 @@ def _check_brute_ceiling(lo: int, hi: int, ceiling: int) -> None:
 
 def _counts(args, lo: int, hi: int) -> list[int]:
     """Counts for n = lo..hi; the order of the checks is the precedence of the refusals."""
+    from . import perms
+    p = perms.Permutation.from_text(args.pattern)
     if args.method == "brute":
-        from . import perms
-        p = perms.Permutation.from_text(args.pattern)
         if p.values:  # count_avoiders refuses an empty pattern first
             _check_brute_ceiling(lo, hi, args.max_brute_n)
         return [perms.count_avoiders(n, p, ceiling=args.max_brute_n) for n in range(lo, hi + 1)]
     from . import counting, series
-    if (args.pattern, args.method) == ("1234", "closed"):
+    if (p.values, args.method) == ((1, 2, 3, 4), "closed"):
         return counting.s1234_recurrence(hi)[lo:]  # linear; the closed sum is not
-    if args.pattern != "1342":
+    if p.values != (1, 3, 4, 2):
         route = "closed form" if args.method == "closed" else args.method
         raise DomainError(f"no {route} for pattern {args.pattern}")
     if args.method == "closed":  # n = 0 counts the empty permutation
@@ -94,15 +111,11 @@ def _counts(args, lo: int, hi: int) -> list[int]:
 
 
 def _cmd_count(args) -> int:
-    if args.n < 0:
-        raise DomainError("--n must be nonnegative")
     print(_counts(args, args.n, args.n)[0])
     return EXIT_OK
 
 
 def _cmd_sequence(args) -> int:
-    if args.upto < 0:
-        raise DomainError("--upto must be nonnegative")
     rows = list(enumerate(_counts(args, 1, args.upto), start=1))
     if args.format == "json":
         import json
@@ -145,8 +158,6 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.n < 0:
-        raise DomainError("--n must be nonnegative")
     if args.kind == "trees":
         from . import trees
         if args.count_only:
@@ -222,8 +233,6 @@ def _verify_series() -> list[str]:
 
 
 def _cmd_verify(args) -> int:
-    if args.max_n < 1:
-        raise DomainError("--max-n must be at least 1")
     if args.expect_failure and args.suite not in ("sequences", "all"):
         raise DomainError("--expect-failure applies to the sequences suite")
     if args.suite in ("sequences", "all") and args.max_n > QUADRATIC_CEILING:
@@ -273,16 +282,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_ceiling(p):
-        p.add_argument("--max-brute-n", type=int, default=DEFAULT_CEILING,
+        p.add_argument("--max-brute-n", type=_integer, default=DEFAULT_CEILING,
                        help="ceiling for exhaustive work (default %(default)s)")
 
     def add_workers(p):
-        p.add_argument("--workers", type=int, default=1,
+        p.add_argument("--workers", type=_integer, default=1,
                        help="accepted and ignored: brute counts run in one process")
 
     def add_count_args(p, size):
         p.add_argument("--pattern", required=True)
-        p.add_argument(size, type=int, required=True)
+        p.add_argument(size, type=_integer, required=True)
         p.add_argument("--method", required=True,
                        choices=["closed", "series", "convolution", "brute"])
 
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate", help="stream trees or avoiders, one per line")
     p_gen.add_argument("kind", choices=["trees", "avoiders"])
-    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--n", type=_integer, required=True)
     p_gen.add_argument("--pattern")
     p_gen.add_argument("--indecomposable", action="store_true")
     p_gen.add_argument("--first-entry-1", action="store_true")
@@ -321,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a consistency suite")
     p_ver.add_argument("--suite", required=True,
                        choices=["bijection", "sequences", "series", "all"])
-    p_ver.add_argument("--max-n", type=int, default=7)
+    p_ver.add_argument("--max-n", type=_integer, default=7)
     p_ver.add_argument("--json", action="store_true")
     p_ver.add_argument("--expect-failure", action="store_true",
                        help="inject a corrupt coefficient; the suite must then fail")
@@ -343,10 +352,10 @@ def main(argv: list[str] | None = None) -> int:
     if digit_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise DomainError("--workers must be at least 1")
-        if getattr(args, "max_brute_n", 0) < 0:  # 0 admits n = 0
-            raise DomainError("--max-brute-n must be nonnegative")
+        for name, least in _LEAST.items():
+            if getattr(args, name, least) < least:
+                bound = "nonnegative" if least == 0 else f"at least {least}"
+                raise DomainError(f"--{name.replace('_', '-')} must be {bound}")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

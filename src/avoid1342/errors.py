@@ -38,7 +38,9 @@ class ResourceLimitError(RuntimeError):
 
 
 def refuse_above(n: int, ceiling: int, work: str = "exhaustive enumeration") -> None:
-    """Refuse exhaustive ``work`` on an n above the ceiling with one ``ResourceLimitError``."""
+    """Refuse a negative n (``DomainError``) and an n above the ceiling (``ResourceLimitError``)."""
+    if n < 0:
+        raise DomainError(f"n must be nonnegative, got {n}")
     if n > ceiling:
         raise ResourceLimitError(f"{work} refused for n={n} (ceiling {ceiling}); "
                                  "raise the ceiling explicitly to proceed")

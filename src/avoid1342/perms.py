@@ -336,8 +336,6 @@ def _prunes(
     """
     if len(pattern) == 0:
         raise DomainError("pattern must be nonempty")
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
     refuse_above(n, ceiling)
     if selection not in get_args(Selection):
         raise DomainError(f"unknown selection {selection!r}")

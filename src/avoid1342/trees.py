@@ -21,12 +21,13 @@ this reading order (``postorder_positions``), never a recursion, so only
 memory limits how deep a tree may be; ``serialize`` alone loops in pre-order,
 the order of the text, so it writes each token once.  Code that needs more
 than one look at a tree takes it once into arrays indexed by reading position
-(labels, parents, child lists; ``_reading_arrays``), checks it there
-(``_labels_valid``, the one home of the validity rule) and builds trees back
-from arrays with each node made once (``_from_arrays``).  The generators are
-loops too: they step the pre-order subtree sizes of a shape, or the labels in
-reading order, like an odometer, whose fastest digit, the last internal node
-before the root, runs as an inner loop that builds just that node and the root.
+(labels and child lists, the one record of the links; ``_reading_arrays``),
+checks it there (``_labels_valid``, the one home of the validity rule) and
+builds trees back from arrays with each node made once (``_from_arrays``).
+The generators are loops too: they step the pre-order subtree sizes of a
+shape, or the labels in reading order, like an odometer, whose fastest digit,
+the last internal node before the root, runs as an inner loop that builds
+just that node and the root.
 
 Trees are immutable and compare by structure, so the builders here (``parse``,
 ``_from_arrays``, the generators and ``path_shape``) share one leaf with label
@@ -38,9 +39,10 @@ is exposed separately (``iter_shapes`` + ``iter_valid_labelings``) so callers
 can consume shapes in parallel.  ``count_beta01`` counts the same trees
 without building any: it sums tables of subtrees by size and top label and of
 subtree sequences by size and label sum (``_label_sum_tables``), in O(n^4)
-integer steps, and refuses the same n as the stream: a negative n with
-``DomainError``, as ``perms`` does, and n above ``ceiling`` (default
-``errors.DEFAULT_CEILING``) through ``errors.refuse_above``.
+integer steps, and refuses the same n as the stream through
+``errors.refuse_above``, as ``perms`` does: a negative n with ``DomainError``
+and n above ``ceiling`` (default ``errors.DEFAULT_CEILING``) with
+``ResourceLimitError``.
 """
 from __future__ import annotations
 
@@ -138,24 +140,17 @@ def postorder_positions(tree: LabeledPlaneTree) -> list[LabeledPlaneTree]:
     return out
 
 
-def _reading_arrays(tree: LabeledPlaneTree) -> tuple[list[int], list[int], list[list[int]]]:
-    """Labels, parents and child lists indexed by reading position 1..n.
-
-    Index 0 is unused; it also stands for "no parent", the root's entry.
-    """
-    label, parent, kids = [0], [0], [[]]
+def _reading_arrays(tree: LabeledPlaneTree) -> tuple[list[int], list[list[int]]]:
+    """Labels and child lists indexed by reading position 1..n; index 0 is unused."""
+    label, kids = [0], [[]]
     open_positions: list[int] = []  # finished positions still waiting for their parent
     for pos, node in enumerate(postorder_positions(tree), start=1):
         label.append(node.label)
-        parent.append(0)
         first = len(open_positions) - len(node.children)
-        child_positions = open_positions[first:]
+        kids.append(open_positions[first:])
         del open_positions[first:]
-        for c in child_positions:
-            parent[c] = pos
-        kids.append(child_positions)
         open_positions.append(pos)
-    return label, parent, kids
+    return label, kids
 
 
 def _from_arrays(label: list[int], kids: list[list[int]]) -> LabeledPlaneTree:
@@ -194,7 +189,7 @@ def validate_beta01(tree: LabeledPlaneTree) -> bool:
     A single node is treated as a root with empty child sum, forcing label 0;
     the leaf rule would force the same.
     """
-    label, _, kids = _reading_arrays(tree)
+    label, kids = _reading_arrays(tree)
     return _labels_valid(label, kids)
 
 
@@ -268,7 +263,7 @@ def parse(text: str) -> LabeledPlaneTree:
 
 def normalize_tree(tree: LabeledPlaneTree) -> LabeledPlaneTree:
     """Same shape, every label zero."""
-    _, _, kids = _reading_arrays(tree)
+    _, kids = _reading_arrays(tree)
     return _from_arrays([0] * len(kids), kids)
 
 
@@ -362,15 +357,17 @@ def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
     it, building just ``last`` over its fixed children and the root over its
     other children.  The labels of the other internal nodes are stepped like
     an odometer, and only the internal nodes from the changed one on are
-    built anew.
+    built anew, and each step moves its parent's child sum (the parents are
+    read off the child lists once per shape).
     """
-    _, parent, kids = _reading_arrays(shape)
+    _, kids = _reading_arrays(shape)
     n = len(kids) - 1
     internal = [pos for pos in range(1, n + 1) if kids[pos]]  # the root last
     if len(internal) < 2:  # a single node, or the root over leaves: one labeling
         yield _from_arrays([0] * (n + 1), kids)
         return
     *outer, last, _ = internal
+    parent = {c: pos for pos in internal for c in kids[pos]}
     slot = kids[n].index(last)
     label = [0] * (n + 1)
     child_sum = [0] * (n + 1)  # the root's omits ``last``, labeled by the inner loop only
@@ -397,20 +394,13 @@ def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
             return
 
 
-def _check_ceiling(n: int, ceiling: int) -> None:
-    """Refuse a negative n and an n above the ceiling, for the stream and the count alike."""
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    refuse_above(n, ceiling, "tree generation")
-
-
 def generate_all_beta01(n: int, *, ceiling: int = DEFAULT_CEILING) -> Iterator[LabeledPlaneTree]:
     """Every valid labeled tree on exactly n nodes, each once, shape by shape.
 
     Stream lengths for n = 1..5 are 1, 1, 3, 12, 56.  n = 0 gives an empty
     stream; n above the ceiling is refused.
     """
-    _check_ceiling(n, ceiling)
+    refuse_above(n, ceiling, "tree generation")
     for shape in iter_shapes(n):
         yield from iter_valid_labelings(shape)
 
@@ -451,7 +441,7 @@ def count_beta01(n: int, *, ceiling: int = DEFAULT_CEILING) -> int:
     >>> [count_beta01(n) for n in range(1, 6)]
     [1, 1, 3, 12, 56]
     """
-    _check_ceiling(n, ceiling)
+    refuse_above(n, ceiling, "tree generation")
     if n == 0:
         return 0
     return sum(_label_sum_tables(n - 1)[1][n - 1])

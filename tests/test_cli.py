@@ -245,6 +245,49 @@ def test_negative_max_brute_n_is_bad_input(capsys, argv):
     assert run(capsys, *argv, "--max-brute-n", "0")[0] == 3
 
 
+#: each integer option in a call that it alone would spoil
+INTEGER_OPTIONS = {
+    "--n": ("count", "--pattern", "1342", "--method", "closed"),
+    "--upto": ("sequence", "--pattern", "1342", "--method", "closed"),
+    "--max-n": ("verify", "--suite", "series"),
+    "--max-brute-n": ("count", "--pattern", "1342", "--n", "3", "--method", "brute"),
+    "--workers": ("count", "--pattern", "1342", "--n", "3", "--method", "brute"),
+}
+
+
+@pytest.mark.parametrize("option", INTEGER_OPTIONS)
+@pytest.mark.parametrize("text", ["٣", "1_0", "+5", " 5", "5 ", "x"])
+def test_integer_options_read_ascii_digits_only(capsys, option, text):
+    # int() reads all but "x"; the options read what permutation text reads
+    with pytest.raises(SystemExit) as refused:
+        main([*INTEGER_OPTIONS[option], option, text])
+    captured = capsys.readouterr()
+    assert (refused.value.code, captured.out) == (2, "")
+    assert f"error: argument {option}: invalid int value: {text!r}" in captured.err
+
+
+@pytest.mark.parametrize("command,size", [("count", "--n"), ("sequence", "--upto")])
+@pytest.mark.parametrize("digits,commas", [("1342", "1,3,4,2"), ("1234", "1,2,3,4")])
+def test_closed_counts_read_the_pattern_in_either_form(capsys, command, size, digits, commas):
+    common = (size, "7", "--method", "closed")
+    expected = run(capsys, command, "--pattern", digits, *common)
+    assert expected[0] == 0
+    assert run(capsys, command, "--pattern", commas, *common) == expected
+
+
+@pytest.mark.parametrize("method", ["closed", "series", "convolution", "brute"])
+def test_unreadable_pattern_is_reported_by_every_method(capsys, method):
+    code, out, err = run(capsys, "count", "--pattern", "1x", "--n", "5", "--method", method)
+    assert (code, out, err) == (2, "", "error: unreadable permutation text: '1x'\n")
+
+
+def test_json_sequence_keeps_the_pattern_as_written(capsys):
+    code, out, _ = run(capsys, "sequence", "--pattern", "1,3,4,2", "--upto", "3",
+                       "--method", "closed", "--json")
+    assert code == 0
+    assert json.loads(out)["pattern"] == "1,3,4,2"
+
+
 # ---------------------------------------------------------------- sequence
 
 def test_sequence_closed_matches_known_values(capsys):
