@@ -9,12 +9,14 @@ Sequences handled here, all as exact arbitrary-precision integers:
   t(n) = (8n-4)·t(n-1)/(n+2) with exactness asserted at every step;
 * ``indecomposable_count(n)`` -- indecomposable 1342-avoiders of length n,
   which is 1 for n = 1 and t_closed(n-1) afterwards;
-* ``s1342_closed(n)``   -- all 1342-avoiders of length n, by the alternating
-  closed form; ``s1342_convolution`` builds the same numbers from the
-  indecomposable counts I(i) = t(i-1), read off ``t_recurrence``, via
+* ``s1342_closed(n)``   -- all 1342-avoiders of length n, by the paper's
+  alternating closed form, whose terms 3·2^(i+1)·(2i-4)!/(i!(i-2)!) are
+  16·t(i-2) for i >= 3, summed as (5n^2-9n+2)/2·(-1)^n
+  + sum_{m=2..n-1} (-1)^m·8m(m-1)·t(n-m); ``s1342_convolution`` builds the
+  same numbers from the indecomposable counts I(i) = t(i-1) via
   s(n) = sum_i I(i)·s(n-i) (H = 1/(1-F)), each s(n) one C-level reduction
   that multiplies only the odd part of each I(i) and shifts its power of two
-  back in;
+  back in.  Both read t off ``t_recurrence``;
 * ``s1234_closed(n)``   -- all 1234-avoiders of length n; ``s1234_recurrence``
   builds the same numbers from their P-recurrence.
 
@@ -81,33 +83,28 @@ def indecomposable_count(n: int) -> int:
     return 1 if n == 1 else t_closed(n - 1)
 
 
-_s1342_terms = [None, None, 12]  # _s1342_terms[i] = 3·2^(i+1)·(2i-4)!/(i!(i-2)!)
-
-
 def s1342_closed(n: int) -> int:
     """Number of 1342-avoiding n-permutations by the alternating closed form.
 
-    (7n^2-3n-2)/2 · (-1)^(n-1)
-      + 3·sum_{i=2..n} 2^(i+1) · (2i-4)!/(i!(i-2)!) · C(n-i+2, 2) · (-1)^(n-i);
-    the sum is empty for n = 1.  First values: 1, 2, 6, 23, 103, 512.  The
-    integer terms 3·2^(i+1)·(2i-4)!/(i!(i-2)!) = 12, 16, 32, ... come from a
-    module list grown by the ratio 4(2i-5)/i, one checked division each.
+    The paper's form, (7n^2-3n-2)/2 · (-1)^(n-1)
+      + 3·sum_{i=2..n} 2^(i+1) · (2i-4)!/(i!(i-2)!) · C(n-i+2, 2) · (-1)^(n-i),
+    has the terms 3·2^(i+1)·(2i-4)!/(i!(i-2)!) = 16·t(i-2) for i >= 3.  The
+    i = 2 term folds into the polynomial, and m = n-i+2 gives the t form
+    (5n^2-9n+2)/2 · (-1)^n + 16·sum_{m=2..n-1} (-1)^m · C(m, 2) · t(n-m),
+    summed from t(1) up (the running total then stays as short as the terms)
+    with each C(m, 2) one 30-bit digit up to m = 46 340.  First values: 1, 2,
+    6, 23, 103, 512.
 
     >>> s1342_closed(6)
     512
     """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    while len(_s1342_terms) <= n:
-        i = len(_s1342_terms)
-        _s1342_terms.append(exact_quotient(4 * (2 * i - 5) * _s1342_terms[i - 1], i,
-                                           f"s1342 term {i}"))
-    lead = exact_quotient(7 * n * n - 3 * n - 2, 2, f"s1342({n}) lead term")
-    total = lead if n % 2 else -lead
-    for i in range(2, n + 1):
-        term = _s1342_terms[i] * math.comb(n - i + 2, 2)
-        total += -term if (n - i) % 2 else term
-    return total
+    if n > 2:
+        t_recurrence(n - 2)
+    lead = exact_quotient(5 * n * n - 9 * n + 2, 2, f"s1342({n}) lead term")
+    weights = [-(m * (m - 1) >> 1) if m % 2 else m * (m - 1) >> 1 for m in range(n - 1, 1, -1)]
+    return (-lead if n % 2 else lead) + (sum(map(mul, _t_cache[1:n - 1], weights)) << 4)
 
 
 def s1342_convolution(up_to: int) -> list[int]:

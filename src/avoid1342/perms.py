@@ -182,13 +182,12 @@ def contains(p: Permutation, q: Permutation) -> bool:
         return False
     _, forbid, extend = _occurrence_state(n, q)
     used = 0
-    replaced: list = []  # never read: nothing backs up
     for c, v in enumerate(vals, start=1):
         bit = 1 << v
         if forbid & bit:
             return True
         used |= bit
-        forbid = extend(v, c, used, forbid, replaced)
+        forbid = extend(v, c, used, forbid, [])  # a fresh undo log: nothing backs up
     return False
 
 

@@ -53,6 +53,8 @@ class TruncatedSeries:
         """Build from leading coefficients, zero-padded up to ``order`` if given."""
         coeffs = [Fraction(v) for v in values]
         if order is not None:
+            if order < 0:
+                raise DomainError(f"order must be nonnegative, got {order}")
             if len(coeffs) > order + 1:
                 coeffs = coeffs[: order + 1]
             coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
@@ -75,7 +77,7 @@ class TruncatedSeries:
     def truncate(self, order: int) -> "TruncatedSeries":
         if order > self.order:
             raise DomainError(f"cannot extend order {self.order} to {order}", index=order)
-        return TruncatedSeries(self.coeffs[: order + 1])
+        return TruncatedSeries.from_coefficients(self.coeffs, order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         k = min(self.order, other.order)

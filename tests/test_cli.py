@@ -444,8 +444,9 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, error):
 
 
 def test_corrupt_closed_form_term_is_an_internal_error(capsys, monkeypatch):
-    # 13 in place of 12 makes the next ratio step 13·4/3 inexact
-    monkeypatch.setattr(counting, "_s1342_terms", [None, None, 13])
+    # 4 in place of t(2) = 3 keeps the step to t(3) exact (20·4/5) but makes
+    # the step to t(4), 28·16/6, inexact
+    monkeypatch.setattr(counting, "_t_cache", [None, 1, 4])
     code, out, err = run(capsys, "count", "--n", "20", "--pattern", "1342", "--method", "closed")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: ") and err.count("\n") == 1
@@ -740,9 +741,8 @@ def argvs(draw):
     return [command, direction, draw(texts)]
 
 
-@settings(max_examples=300, deadline=2000)
-@given(argvs())
-def test_every_call_exits_by_the_error_contract(argv):
+def assert_error_contract(argv):
+    """Exit 0-3, no escaped exception, and on 2 or 3 no stdout and one error line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -753,4 +753,22 @@ def test_every_call_exits_by_the_error_contract(argv):
     if code in (2, 3):
         assert out.getvalue() == "", argv
         lines = err.getvalue().splitlines()
-        assert any(line.startswith("error: ") or ": error: " in line for line in lines), argv
+        assert sum(line.startswith("error: ") or ": error: " in line for line in lines) == 1, argv
+    return code
+
+
+@settings(max_examples=300, deadline=2000)
+@given(argvs())
+def test_every_call_exits_by_the_error_contract(argv):
+    assert_error_contract(argv)
+
+
+@pytest.mark.parametrize("max_n", ["-1", "0", "1", "6"])
+@pytest.mark.parametrize("suite", ["bijection", "sequences", "series", "all"])
+def test_every_verify_call_exits_by_the_error_contract(suite, max_n):
+    codes = set()
+    for max_brute_n in ("-1", "0", "5", "6"):
+        for extra in ([], ["--json"], ["--expect-failure"], ["--json", "--expect-failure"]):
+            argv = ["verify", "--suite", suite, "--max-n", max_n, "--max-brute-n", max_brute_n]
+            codes.add(assert_error_contract(argv + extra))
+    assert 2 in codes  # a negative --max-brute-n is bad input for every suite

@@ -247,8 +247,9 @@ def test_s1342_closed_matches_the_rational_formula_to_300():
 
 
 def test_s1342_closed_is_the_same_before_and_after_the_cache_grows(monkeypatch):
-    monkeypatch.setattr(counting, "_s1342_terms", [None, None, 12])
+    monkeypatch.setattr(counting, "_t_cache", [None, 1])
     assert s1342_closed(5) == 103
-    assert s1342_closed(400) == s1342_convolution(400)[400]
-    assert len(counting._s1342_terms) == 401
+    closed = s1342_closed(400)
+    assert len(counting._t_cache) == 399  # t(1..398); the convolution grows it further
+    assert closed == s1342_convolution(400)[400]
     assert s1342_closed(5) == 103

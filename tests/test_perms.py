@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+import tracemalloc
 from itertools import permutations as iter_permutations
 from math import factorial
 
@@ -148,6 +149,19 @@ def test_contains_on_long_monotone_hosts():
         q = P(pattern)
         assert contains(identity, q) == (pattern == "1234")
         assert contains(reverse, q) == (pattern == "4321")
+
+
+def test_contains_keeps_no_log_of_replaced_occurrences():
+    # the occurrence step logs each occurrence it replaces; with no backtracking
+    # that log must not grow for the whole call (a 3.5 MB peak if it did)
+    p = F_inverse(random_valid_tree(3, 300))
+    tracemalloc.start()
+    try:
+        assert not contains(p, P("41352"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_contains_on_long_tree_avoiders():

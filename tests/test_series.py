@@ -87,6 +87,17 @@ def test_coefficient_read_beyond_order_refused():
         s.truncate(5)
 
 
+@pytest.mark.parametrize("build", [
+    lambda order: series_from([1, 2, 3, 4, 5, 6]).truncate(order),
+    lambda order: series_from([1, 2, 3, 4, 5, 6], order=order),
+    lambda order: TruncatedSeries.constant(7, order),
+], ids=["truncate", "from_coefficients", "constant"])
+@pytest.mark.parametrize("order", [-1, -2, -3, -7])
+def test_negative_order_is_refused(build, order):
+    with pytest.raises(DomainError, match=f"^order must be nonnegative, got {order}$"):
+        build(order)
+
+
 def test_print_format():
     s = series_from([1, Fraction(1, 2), -3])
     assert str(s) == "0: 1\n1: 1/2\n2: -3"
