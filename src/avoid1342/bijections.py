@@ -15,22 +15,23 @@ The labels of ``F_forward`` are driven by two relations on entries: ``beats``
 transitive closure along increasing positions).  Entries are attached to tree
 nodes by the children-first reading order of :mod:`avoid1342.trees`.
 
-``F`` and the shape map work on arrays indexed by reading position (labels
-and child lists, no parents) from start to finish.  ``F_forward`` makes one
-right-to-left pass for the extents of ``beats`` and ``reaches``, which also
-refuses 1342 from the next larger entry of each entry, reads
-indecomposability off N(p), which has the left-to-right minima of p and so its
-skew cuts, takes the child lists of N(p) from one next-larger-to-the-right
-pass (exact, as N(p) avoids 132; only ``perm_to_shape``, whose permutation
-comes from outside, checks them), computes the labels in one loop, checks
-validity on the arrays and builds each internal node once, sharing the zero
-leaf of ``trees``.  ``F_inverse`` walks its tree once into
-the same arrays, and the validity check, the shape's values and the minima
-are all read off them.  A block of its greedy is a list of positions with its
-top last and the largest of its run of values, and each value finds its node
-by one descent from the top; one loop over a split block drops the links into
-earlier blocks, counts its components as nodes less links and checks that its
-minima lie in its values.
+``F`` and the shape map work on arrays indexed by reading position (labels and
+child lists) from start to finish.  ``F_forward`` makes one right-to-left pass
+for the last entry each entry reaches, which also refuses 1342: p contains it
+iff some entry's next larger entry g lies before the last entry it reaches (if
+the link a -> b of the chain of beats straddles g, the minimum before a, a, g,
+b is one).  It reads indecomposability off N(p), which has the left-to-right
+minima of p and so its skew cuts, takes the child lists of N(p) from one
+next-larger-to-the-right pass (exact, as N(p) avoids 132; only
+``perm_to_shape``, whose permutation comes from outside, checks them), counts
+the labels up the parent path of each entry, checks validity on the arrays and
+builds each internal node once, sharing the zero leaf of ``trees``.
+``F_inverse`` walks its tree once into the same arrays, and the validity
+check, the shape's values and the minima are all read off them.  A block of
+its greedy is a list of positions with its top last and the largest of its run
+of values, and each value finds its node by one descent from the top; one loop
+over a split block drops the links into earlier blocks, counts its components
+as nodes less links and checks that its minima lie in its values.
 
 Both directions of ``f`` rest on ``perms._normalize_values``, the 132 fill of
 a run of minima.  A path labeling gives the suffix minima of p, and with
@@ -51,42 +52,37 @@ from .trees import _LEAF, LabeledPlaneTree, _from_arrays, _labels_valid, _readin
 # beats / reaches
 # ---------------------------------------------------------------------------
 
-def _beat_extents(vals: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """For each 0-based position: the last position it beats and the last it reaches.
+def _reach_extents(vals: tuple[int, ...]) -> list[int]:
+    """For each 0-based position: the last position it reaches, -1 where there is none.
 
-    Both are -1 where there is none.  Entry i beats exactly the later entries
-    with values strictly between min(p_1..p_{i-1}) and p_i, so one
-    right-to-left pass over value-indexed arrays answers both: ``last_at[x]``
-    is the position of the value x once passed, and ``reach_at[x]`` the
-    furthest position that entry beats or reaches, itself included.
+    Entry i beats exactly the later entries with values strictly between
+    min(p_1..p_{i-1}) and p_i, and reaches those and what they reach, so one
+    right-to-left pass answers it: ``reach_at[x]`` is the furthest position
+    the entry of value x, once passed, reaches, itself included.
 
-    The same pass refuses 1342 with ``DomainError``.  In an occurrence the 3
-    beats the 2 (the 1 lies before the 3) and the 4 lies between them, so the
-    first entry after the 3 that exceeds it lies before the 2 too.  Hence
-    vals contains 1342 iff some entry's next larger entry comes before the
-    last entry it beats; the left-to-right maxima of the entries passed,
-    kept on a stack, give each entry's next larger entry.
+    The same pass refuses 1342 with ``DomainError``: vals contains 1342 iff
+    some entry's next larger entry g comes before the last entry it reaches.
+    If so, the link a -> b of its chain of beats that straddles g gives one:
+    a lies below the entry and so below g, and the minimum before a, a, g and
+    b form a 1342.  Conversely, in an occurrence the 3 beats (so reaches) the
+    2 and the 4 lies between them.
     """
     n = len(vals)
     prefix_min = [n + 1, *accumulate(vals[:-1], min)]
-    last_at = [-1] * (n + 2)
     reach_at = [-1] * (n + 2)
-    last_beaten = [-1] * n
     max_reach = [-1] * n
-    larger: list[int] = []  # the left-to-right maxima of the entries passed, the leftmost on top
+    larger: list[int] = []  # positions of the left-to-right maxima passed, leftmost on top
     for i in range(n - 1, -1, -1):
         lo, v = prefix_min[i] + 1, vals[i]
-        while larger and larger[-1] < v:
+        while larger and vals[larger[-1]] < v:
             larger.pop()
-        if lo < v:
-            last = last_beaten[i] = max(last_at[lo:v])
-            if larger and last_at[larger[-1]] < last:
+        reach_at[v] = i
+        if lo < v and (last := max(reach_at[lo:v])) > i:  # else it beats no later entry
+            if larger and larger[-1] < last:
                 raise DomainError("permutation contains 1342")
-            max_reach[i] = max(reach_at[lo:v])
-        last_at[v] = i
-        reach_at[v] = max(i, max_reach[i])
-        larger.append(v)
-    return last_beaten, max_reach
+            max_reach[i] = reach_at[v] = last
+        larger.append(i)
+    return max_reach
 
 
 def beats(p: Permutation, i: int, j: int) -> bool:
@@ -280,15 +276,17 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     (itself included) whose entry reaches some entry past the node's own
     position; the root's label is the sum of its children's labels.
 
-    Everything runs on arrays by reading position.  The pass that finds the
-    last entry each entry reaches refuses 1342 on the way.  A skew cut depends
-    only on the left-to-right minima, which p and N(p) share, and the
-    132-avoider N(p) is indecomposable iff it ends with n, so that one entry
-    decides the domain after the 1342 test.  The child lists of N(p) come
-    from one next-larger-to-the-right pass, exact on a 132-avoider, and one
-    left-to-right loop gives each subtree's first position and each label.
-    The labels are checked for validity on the arrays, and the tree is built
-    once at the end.
+    Everything runs on arrays by reading position.  The pass for the last
+    entry each entry reaches refuses 1342.  A skew cut depends only on the
+    left-to-right minima, which p and N(p) share, and the 132-avoider N(p) is
+    indecomposable iff it ends with n, checked after the 1342 test.  The child
+    lists of N(p) come from one next-larger-to-the-right pass, exact on a
+    132-avoider.  An entry counts towards its node and each ancestor up to the
+    last position it reaches, and ancestors lie further right, so one
+    right-to-left loop, which fills in the children's parent as it meets each
+    node, walks up from each entry while the node lies within its reach: one
+    step per unit of label.  The labels are checked for validity on the
+    arrays, and the tree is built once at the end.
 
     >>> str(F_forward(Permutation.from_text("361542")))
     '3(3(1(0) 1(0)))'
@@ -297,19 +295,21 @@ def F_forward(p: Permutation) -> LabeledPlaneTree:
     n = len(vals)
     if n < 1:
         raise DomainError("the bijection needs a nonempty permutation")
-    _, max_reach = _beat_extents(vals)  # refuses 1342
+    max_reach = _reach_extents(vals)  # refuses 1342
     shape_vals = _normalize_values(vals)
     if shape_vals[-1] != n:
         raise DomainError("permutation is decomposable")
 
     kids = _shape_kids(shape_vals)
-    first = list(range(n + 1))  # the first position of each subtree
+    parent = [0] * (n + 1)
     label = [0] * (n + 1)
-    for pos in range(1, n):
-        child_positions = kids[pos]
-        if child_positions:
-            first[pos] = first[child_positions[0]]
-        label[pos] = len([r for r in max_reach[first[pos] - 1:pos] if r >= pos])
+    for pos in range(n, 0, -1):
+        for c in kids[pos]:
+            parent[c] = pos
+        node, last = pos, max_reach[pos - 1]  # 0-based, so nodes up to position last
+        while node <= last:
+            label[node] += 1
+            node = parent[node]
     label[n] = sum([label[c] for c in kids[n]])
     if not _labels_valid(label, kids):  # always holds on the stated domain; failure is a bug
         raise ReconstructionError(f"forward map produced an invalid tree for {p}")

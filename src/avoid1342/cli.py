@@ -145,9 +145,9 @@ def _cmd_map(args) -> int:
     elif direction == "perm-to-forest":
         forest = bijections.forest_forward(perms.Permutation.from_text(args.input))
         print(",".join(trees.serialize(t) for t in forest))
-    else:  # forest-to-perm
+    else:  # forest-to-perm; the empty text is the empty forest, as perm-to-forest prints it
         forest, start = [], 0
-        for part in args.input.split(","):
+        for part in args.input.split(",") if args.input else ():
             try:
                 forest.append(trees.parse(part))
             except TreeParseError as exc:  # report the offset in the whole input

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import strategies as st
 
 from avoid1342 import DomainError, LabeledPlaneTree, Permutation
-from avoid1342.bijections import _beat_extents
+from avoid1342.bijections import _reach_extents
 from avoid1342.trees import _label_sum_tables
 
 #: Largest tree size ``unrank`` serves; its tables take about a second to build.
@@ -14,9 +14,13 @@ UNRANK_MAX_N = 100
 
 
 def extents_refuse_1342(vals):
-    """True iff the O(n) extents pass of ``bijections`` refuses vals as containing 1342."""
+    """True iff the reach pass of ``bijections`` refuses vals as containing 1342.
+
+    The pass is one right-to-left loop, but each entry takes the max of a
+    slice of values, so it is O(n) only up to the lengths of those slices.
+    """
     try:
-        _beat_extents(tuple(vals))
+        _reach_extents(tuple(vals))
     except DomainError as refused:
         assert refused.args == ("permutation contains 1342",)
         return True

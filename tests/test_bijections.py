@@ -5,11 +5,13 @@ from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from avoid1342 import (
     DomainError,
     F_forward,
     F_inverse,
+    LabeledPlaneTree,
     Permutation,
     beats,
     catalan,
@@ -35,7 +37,8 @@ from avoid1342 import (
     validate_beta01,
 )
 
-from avoid1342.bijections import _beat_extents
+from avoid1342.bijections import _reach_extents
+from avoid1342.trees import postorder_positions
 from conftest import (
     extents_refuse_1342,
     perm_strategy,
@@ -114,10 +117,10 @@ def test_reaches_is_transitive_closure_of_beats(p):
 
 
 def test_reaches_on_a_long_avoider():
-    # the last position reached from i is the one _beat_extents reports
+    # the last position reached from i is the one _reach_extents reports
     n = 2000
     p = F_inverse(random_valid_tree(31, n))
-    _, max_reach = _beat_extents(p.values)
+    max_reach = _reach_extents(p.values)
     rng = random.Random(31)
     starts = [i for i in range(1, n + 1) if max_reach[i - 1] >= 0]
     assert len(starts) > 100
@@ -418,24 +421,102 @@ def test_forest_rejects_exactly_the_1342_containers():
 
 
 def test_contains_1342_matches_subset_scan():
-    # the extents pass refuses exactly the 1342 containers
+    # the reach pass refuses exactly the 1342 containers: every permutation up
+    # to n = 7, then at n = 8-10 seeded random permutations, avoiders, and
+    # avoiders with two entries swapped (194 of those 450 contain 1342)
     for n in range(0, 8):
         for vals in permutations(range(1, n + 1)):
             expected = oracle_contains(vals, P1342.values)
             assert extents_refuse_1342(vals) == expected, vals
+    rng = random.Random(1342)
+    for n in range(8, 11):
+        for seed in range(150):
+            avoider = list(F_inverse(random_valid_tree(seed, n, bushy=seed % 2 == 0)).values)
+            swapped = avoider[:]
+            i, j = rng.sample(range(n), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            for vals in (rng.sample(range(1, n + 1), n), avoider, swapped):
+                expected = oracle_contains(vals, P1342.values)
+                assert extents_refuse_1342(vals) == expected, vals
+
+
+def _last_true(row):
+    return max((j for j, hit in enumerate(row) if hit), default=-1)
 
 
 def test_beat_extents_match_the_matrices():
-    def last_true(row):
-        return max((j for j, hit in enumerate(row) if hit), default=-1)
-
+    # the last entry each entry reaches, from the reach pass, and the last it
+    # beats, from the public relation, against the literal matrices
     for n in range(0, 8):
         for vals in permutations(range(1, n + 1)):
             if oracle_contains(vals, P1342.values):
                 continue  # refused, see test_contains_1342_matches_subset_scan
-            last_beaten, max_reach = _beat_extents(vals)
-            assert last_beaten == [last_true(row) for row in oracle_beats_matrix(vals)], vals
-            assert max_reach == [last_true(row) for row in oracle_reaches_matrix(vals)], vals
+            p = Permutation(vals)
+            last_beaten = [max((j - 1 for j in range(i + 1, n + 1) if beats(p, i, j)), default=-1)
+                           for i in range(1, n + 1)]
+            assert last_beaten == [_last_true(row) for row in oracle_beats_matrix(vals)], vals
+            assert _reach_extents(vals) == [_last_true(row) for row in oracle_reaches_matrix(vals)], vals
+
+
+def _labels_by_the_reaches_definition(tree, vals):
+    """Each non-root node's count of subtree entries that reach past its position, by the matrix."""
+    last = [_last_true(row) for row in oracle_reaches_matrix(vals)]
+    labels, firsts = [], []  # firsts: the first position of each subtree still waiting for its parent
+    for i, node in enumerate(postorder_positions(tree)):  # 0-based reading positions
+        k = len(node.children)
+        first = firsts[-k] if k else i
+        del firsts[len(firsts) - k:]
+        firsts.append(first)
+        labels.append(sum(1 for d in range(first, i + 1) if last[d] > i))
+    return labels[:-1]
+
+
+def test_F_forward_labels_match_the_reaches_definition():
+    cases = [p for n in range(1, 8) for p in indecomposable_avoiders(n)]
+    for seed in range(3):
+        for tree in (random_valid_tree(seed, 60 + 30 * seed, bushy=False),
+                     random_caterpillar_tree(seed, 120 - 30 * seed)):
+            cases.append(F_inverse(tree))
+    for p in cases:
+        tree = F_forward(p)
+        labels = [node.label for node in postorder_positions(tree)]
+        assert labels[:-1] == _labels_by_the_reaches_definition(tree, p.values), p
+
+
+@st.composite
+def _trees_with_any_labels(draw, max_n=8):
+    """A tree on 1..max_n nodes with labels drawn from 0..3.
+
+    Half the time the labels are then made valid (leaves 0, the others
+    capped at 1 + their child sum, the root set to it), so that both the
+    refusal and the reconstruction run.
+    """
+    n = draw(st.integers(1, max_n))
+    parent = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    label = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    valid = draw(st.booleans())
+    built = [None] * n
+    for i in range(n - 1, -1, -1):  # children carry larger indices
+        children = tuple(built[c] for c in range(i + 1, n) if parent[c] == i)
+        if valid:
+            below = sum(child.label for child in children)
+            label[i] = below if i == 0 else min(label[i], 1 + below) if children else 0
+        built[i] = LabeledPlaneTree(label[i], children)
+    return built[0]
+
+
+@given(perm_strategy(min_n=0, max_n=10), st.lists(_trees_with_any_labels(), max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_bijection_layer_raises_only_domain_errors(p, forest):
+    # input outside a map's domain is refused with DomainError; on its domain
+    # a map returns, so ReconstructionError (an internal inconsistency),
+    # IndexError or anything else must never escape
+    calls = [(F_forward, p), (forest_forward, p), (forest_inverse, forest)]
+    for map_, arg in calls + [(F_inverse, tree) for tree in forest]:
+        try:
+            map_(arg)
+        except DomainError:
+            pass
 
 
 def test_f_forward_rejects_exactly_the_1342_containers():

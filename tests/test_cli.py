@@ -391,6 +391,16 @@ def test_map_forest(capsys):
     assert (code, out) == (0, "312\n")
 
 
+def test_map_forest_reads_back_the_empty_forest(capsys):
+    # the empty permutation has no blocks, so its forest prints as an empty line
+    assert run(capsys, "map", "perm-to-forest", "") == (0, "\n", "")
+    assert run(capsys, "map", "forest-to-perm", "") == (0, "\n", "")
+    assert run(capsys, "normalize", "") == (0, "\n", "")
+    # an empty part between trees is still a missing tree
+    code, out, err = run(capsys, "map", "forest-to-perm", ",")
+    assert (code, out, err) == (2, "", "error: expected a label (at position 0)\n")
+
+
 def test_map_forest_reports_the_offset_in_the_whole_input(capsys):
     code, out, err = run(capsys, "map", "forest-to-perm", "0,,0")
     assert (code, out, err) == (2, "", "error: expected a label (at position 2)\n")
