@@ -8,7 +8,9 @@ The named series are computed on integers and wrapped into ``Fraction`` once,
 at the end: (1-8x)^{3/2} by the ratio c_{n+1} = c_n·4(2n-3)/(n+1), and each
 quotient num/den by solving den·h = num one coefficient at a time.  Every
 division there is a checked exact division; a remainder raises
-``IntegralityError``.
+``IntegralityError``.  Each coefficient of a quotient, product, reciprocal or
+square is one ``sum(map(mul, ...))`` over aligned slices, one of them
+reversed, with zero padding in place of boundary branches.
 
 The two series of interest:
 
@@ -84,19 +86,16 @@ class TruncatedSeries:
         return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs[: k + 1])))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        k = min(self.order, other.order)
-        return TruncatedSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs[: k + 1])))
+        return self + -other
 
     def __neg__(self) -> "TruncatedSeries":
         return TruncatedSeries(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         # Cauchy product truncated at the smaller order
-        k = min(self.order, other.order)
         a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(
-            tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(k + 1))
-        )
+        return TruncatedSeries(tuple(sum(map(mul, a[:m + 1], b[m::-1]))
+                                     for m in range(min(len(a), len(b)))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -121,8 +120,7 @@ def reciprocal(series: TruncatedSeries) -> TruncatedSeries:
         raise DomainError("series with zero constant term has no reciprocal", index=0)
     out = [Fraction(1) / a[0]]
     for m in range(1, len(a)):
-        acc = sum(a[i] * out[m - i] for i in range(1, m + 1))
-        out.append(-acc / a[0])
+        out.append(-sum(map(mul, a[1:m + 1], out[::-1])) / a[0])
     return TruncatedSeries(tuple(out))
 
 
@@ -155,18 +153,13 @@ def _plus(coeffs: list[int], low: Sequence[int]) -> list[int]:
 def _solve(num: Sequence[int], den: Sequence[int], order: int) -> TruncatedSeries:
     """The series h with den·h = num up to x^order, on integers.
 
-    Each coefficient is one exact division by den[0]; only the nonzero terms
-    of den past the first are visited.
+    Each coefficient is one exact division by den[0] of num[m] less den[1:]
+    against the coefficients found so far, newest first.
     """
-    lead = den[0]
-    terms = [(i, d) for i, d in enumerate(den[1: order + 1], start=1) if d]
+    lead, rest = den[0], den[1: order + 1]
     h: list[int] = []
     for m in range(order + 1):
-        acc = num[m] if m < len(num) else 0
-        for i, d in terms:
-            if i > m:
-                break
-            acc -= d * h[m - i]
+        acc = (num[m] if m < len(num) else 0) - sum(map(mul, rest, h[:-len(rest) - 1:-1]))
         h.append(exact_quotient(acc, lead, f"coefficient x^{m}"))
     return TruncatedSeries(tuple(map(Fraction, h)))
 
@@ -244,28 +237,15 @@ def verify_H_algebraic(order: int, h: TruncatedSeries | None = None) -> bool:
     # plain ints are much faster than integer-valued Fractions and the
     # comparison is exact either way
     hc = [c.numerator if c.denominator == 1 else c for c in h.coeffs[: order + 1]]
-
-    def hof(i: int):
-        return hc[i] if 0 <= i <= order else 0
-
-    # u = (1 + 20x - 8x^2)·H - 32x, w = H^2; built incrementally so a mismatch
-    # at low order stops the work early.
-    u: list[Fraction] = []
-    w: list[Fraction] = []
+    # u = (1 + 20x - 8x^2)·H - 32x, from H padded with two zeros in front
+    padded = [0, 0, *hc]
+    u = [c + 20 * b - 8 * a for a, b, c in zip(padded, padded[1:], padded[2:])]
+    u[1] -= 32
+    # w = H^2 after three zeros, so (1-8x)^3·w reads w[-1..-4]; w and both
+    # squares grow one order at a time, so a mismatch at low order stops the work
+    w = [0, 0, 0]
     for m in range(order + 1):
-        um = hof(m) + 20 * hof(m - 1) - 8 * hof(m - 2)
-        if m == 1:
-            um -= 32
-        u.append(um)
         w.append(_square_coefficient(hc, m))
-        lhs = _square_coefficient(u, m)
-        rhs = w[m]
-        if m >= 1:
-            rhs -= 24 * w[m - 1]
-        if m >= 2:
-            rhs += 192 * w[m - 2]
-        if m >= 3:
-            rhs -= 512 * w[m - 3]
-        if lhs != rhs:
+        if _square_coefficient(u, m) != w[-1] - 24 * w[-2] + 192 * w[-3] - 512 * w[-4]:
             return False
     return True
