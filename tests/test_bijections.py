@@ -220,9 +220,13 @@ def test_perm_to_shape_examples():
 
 def test_perm_to_shape_preconditions():
     with pytest.raises(DomainError):
-        perm_to_shape(P("132"))   # contains 132
+        perm_to_shape(P("132"))   # contains 132, refused first as not ending with n
+    with pytest.raises(DomainError, match="contains 132"):
+        perm_to_shape(P("1324"))
     with pytest.raises(DomainError):
         perm_to_shape(P("321"))   # does not end with n
+    with pytest.raises(DomainError, match="needs a nonempty permutation"):
+        perm_to_shape(Permutation(()))
 
 
 def test_shape_roundtrip_exhaustive():

@@ -20,6 +20,7 @@ from avoid1342 import (
     counting,
     errors,
     perms,
+    series,
     trees,
 )
 from avoid1342.cli import QUADRATIC_CEILING, main
@@ -112,6 +113,17 @@ def test_count_1234_closed_is_linear_in_n(capsys):
     assert elapsed < 5.0, elapsed
     code, out, _ = run(capsys, "count", "--pattern", "1234", "--n", "1000", "--method", "closed")
     assert (code, out) == (0, f"{counting.s1234_closed(1000)}\n")
+
+
+def test_count_series_reads_the_linear_route(capsys):
+    # the division route took about 23 s at n = 2 500; the rational one 0.02 s
+    expected = counting.s1342_closed(QUADRATIC_CEILING)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "count", "--pattern", "1342", "--n", str(QUADRATIC_CEILING),
+                       "--method", "series")
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (0, f"{expected}\n")
+    assert elapsed < 2.0, elapsed
 
 
 def test_count_unsupported_pair(capsys):
@@ -511,6 +523,12 @@ def test_generate_avoiders_stream(capsys):
     assert out.splitlines() == ["123", "132", "213", "231", "312", "321"]
 
 
+def test_generate_avoiders_first_entry_1(capsys):
+    argv = ("generate", "avoiders", "--pattern", "1342", "--first-entry-1")
+    assert run(capsys, *argv, "--n", "5", "--count-only") == (0, "14\n", "")
+    assert run(capsys, *argv, "--n", "3") == (0, "123\n132\n", "")
+
+
 def test_generate_avoiders_requires_pattern(capsys):
     code, _, err = run(capsys, "generate", "avoiders", "--n", "3")
     assert code == 2
@@ -607,6 +625,29 @@ def test_verify_bijection_builds_no_tree_stream(capsys, monkeypatch):
     monkeypatch.setattr(trees, "generate_all_beta01", refusing)
     assert run(capsys, "verify", "--suite", "bijection", "--max-n", "6") == (
         0, "verify bijection: OK\n", "")
+
+
+def verify_series_fails(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "series")
+    assert (code, err) == (1, "")
+    return out
+
+
+def test_verify_series_reports_routes_that_disagree(capsys, monkeypatch):
+    rational = series.H_series_rational
+
+    def perturbed(order):
+        coeffs = list(rational(order).coeffs)
+        coeffs[order] += 1
+        return series.TruncatedSeries(tuple(coeffs))
+
+    monkeypatch.setattr(series, "H_series_rational", perturbed)
+    assert verify_series_fails(capsys) == "FAIL the two series routes disagree\nverify series: FAIL\n"
+
+
+def test_verify_series_reports_a_failed_identity(capsys, monkeypatch):
+    monkeypatch.setattr(series, "verify_H_algebraic", lambda order, h: False)
+    assert verify_series_fails(capsys) == "FAIL the algebraic identity fails\nverify series: FAIL\n"
 
 
 def test_verify_all_trivial(capsys):

@@ -197,6 +197,23 @@ def test_cross_check_bound_reads_one_1234_recurrence_pass(monkeypatch):
     assert report.bound_violations == [f"s1342({n}) >= s1234({n}) [closed]" for n in range(6, 13)]
 
 
+def test_cross_check_reports_a_closed_value_at_8_to_the_n(monkeypatch):
+    closed = counting.s1342_closed
+    monkeypatch.setattr(counting, "s1342_closed", lambda n: 8 ** n if n == 3 else closed(n))
+    assert cross_check(8, 0).bound_violations == ["s1342(3) >= 8^3"]
+
+
+def test_cross_check_reports_the_brute_1234_bound(monkeypatch):
+    count = counting.count_avoiders
+
+    def too_small(n, pattern, *args, **kwargs):
+        return 0 if pattern == counting._P1234 else count(n, pattern, *args, **kwargs)
+
+    monkeypatch.setattr(counting, "count_avoiders", too_small)
+    assert cross_check(8, 7).bound_violations == [
+        f"s1342({n}) >= s1234({n}) [brute]" for n in (6, 7)]
+
+
 def test_cross_check_respects_brute_ceiling():
     with pytest.raises(DomainError):
         cross_check(10, 13)

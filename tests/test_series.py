@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from avoid1342 import (
     verify_H_algebraic,
 )
 
-from avoid1342 import series
+from avoid1342 import counting, series
 
 from oracles import oracle_sqrt_cubed_coefficient
 
@@ -248,3 +249,73 @@ def test_solver_refuses_an_inexact_division():
         series._solve([1], [2], 0)
     with pytest.raises(IntegralityError):
         series._solve([2, 1], [2, 6, 6, 2], 1)
+
+
+# ---------------------------------------------------------------- error contract
+
+sizes = st.integers(-3, 60)
+small = st.integers(-3, 8)
+coefficient_lists = st.lists(st.fractions(-3, 3, max_denominator=4), max_size=6).map(tuple)
+truncated = coefficient_lists.filter(bool).map(TruncatedSeries)
+
+#: each public function of ``series`` and ``counting`` with strategies for its arguments
+CONTRACT = [(f, (sizes,)) for f in (
+    counting.catalan, counting.t_closed, counting.t_recurrence, counting.indecomposable_count,
+    counting.s1342_closed, counting.s1342_convolution, counting.s1234_closed,
+    counting.s1234_recurrence, counting.nth_root_estimate, one_minus_8x_pow_3_2, F_series,
+    H_series_division, H_series_rational, verify_H_algebraic)] + [
+    (counting.cross_check, (sizes, st.integers(-3, 6), st.sampled_from([-1, 5, 12]))),
+    (verify_H_algebraic, (small, truncated)),
+    (TruncatedSeries, (coefficient_lists,)),
+    (TruncatedSeries.from_coefficients, (coefficient_lists, small)),
+    (TruncatedSeries.constant, (rationals, small)),
+    (TruncatedSeries.coefficient, (truncated, small)),
+    (TruncatedSeries.truncate, (truncated, small)),
+    (operator.add, (truncated, truncated)),
+    (operator.sub, (truncated, truncated)),
+    (operator.mul, (truncated, truncated)),
+    (operator.neg, (truncated,)),
+    (scale, (truncated, rationals)),
+    (reciprocal, (truncated,)),
+    (shift_divide, (truncated, small)),
+]
+
+
+@st.composite
+def contract_calls(draw):
+    function, arguments = draw(st.sampled_from(CONTRACT))
+    return function, tuple(draw(argument) for argument in arguments)
+
+
+@settings(max_examples=200, deadline=None)
+@given(contract_calls())
+def test_series_and_counting_return_or_refuse_by_domain_error(call):
+    function, arguments = call
+    if function is counting.cross_check:
+        up_to_closed, up_to_brute, ceiling = arguments
+        arguments, kwargs = (up_to_closed, up_to_brute), {"brute_ceiling": ceiling}
+    else:
+        kwargs = {}
+    try:
+        function(*arguments, **kwargs)
+    except DomainError:
+        pass
+
+
+@pytest.mark.parametrize("function,arguments", [
+    (counting.t_recurrence, (0,)),
+    (counting.indecomposable_count, (0,)),
+    (counting.s1342_convolution, (-1,)),
+    (counting.s1234_closed, (0,)),
+    (F_series, (0,)),
+    (H_series_division, (-1,)),
+    (H_series_rational, (-1,)),
+    (one_minus_8x_pow_3_2, (-1,)),
+    (verify_H_algebraic, (0,)),
+    (shift_divide, (series_from([0, 0]), -1)),
+    (shift_divide, (series_from([0, 0]), 2)),
+    (TruncatedSeries, ((),)),
+], ids=lambda value: getattr(value, "__qualname__", None))
+def test_each_domain_edge_is_refused(function, arguments):
+    with pytest.raises(DomainError):
+        function(*arguments)
