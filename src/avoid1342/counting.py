@@ -14,9 +14,11 @@ Sequences handled here, all as exact arbitrary-precision integers:
   16·t(i-2) for i >= 3, summed as (5n^2-9n+2)/2·(-1)^n
   + sum_{m=2..n-1} (-1)^m·8m(m-1)·t(n-m); ``s1342_convolution`` builds the
   same numbers from the indecomposable counts I(i) = t(i-1) via
-  s(n) = sum_i I(i)·s(n-i) (H = 1/(1-F)), each s(n) one C-level reduction
-  that multiplies only the odd part of each I(i) and shifts its power of two
-  back in.  Both read t off ``t_recurrence``;
+  s(n) = sum_i I(i)·s(n-i) (H = 1/(1-F)) in blocks of 8 values: what a block
+  takes from the earlier ones is an 8×8 Toeplitz product, done by
+  Karatsuba's split as 27 products in place of 64, each one C-level
+  reduction that multiplies only odd parts and shifts the powers of two back
+  in.  Both read t off ``t_recurrence``;
 * ``s1234_closed(n)``   -- all 1234-avoiders of length n; ``s1234_recurrence``
   builds the same numbers from their P-recurrence.
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from operator import lshift, mul
+from operator import lshift, mul, sub
 
 from .errors import DEFAULT_CEILING, DomainError, exact_quotient
 from .perms import Permutation, count_avoiders
@@ -107,29 +109,83 @@ def s1342_closed(n: int) -> int:
     return (-lead if n % 2 else lead) + (sum(map(mul, _t_cache[1:n - 1], weights)) << 4)
 
 
+_B = 8  # values of s per block of s1342_convolution
+
+
+def _toeplitz_recipes(size: int) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
+    """Karatsuba's split of y = T·x, T[r][c] = d(r-c) a size×size Toeplitz matrix.
+
+    With T = [[T0, T-], [T+, T0]] in halves, y_top = T0(x0+x1) + (T- - T0)x1
+    and y_bottom = T0(x0+x1) + (T+ - T0)x0: three Toeplitz products of half
+    the size in place of four, applied down to scalars (27 for size 8).  Each
+    recipe is (its coefficient of every diagonal d(1-size..size-1), the
+    columns of x it adds, the rows of y it adds into).
+    """
+    def split(diagonal, columns, rows):
+        half = len(columns) // 2
+        if not half:
+            return [(diagonal[0], columns[0], rows[0])]
+        middle = {o: diagonal[o] for o in range(1 - half, half)}
+
+        def less_middle(offset):
+            return {o: tuple(map(sub, diagonal[o + offset], diagonal[o])) for o in middle}
+        return (split(middle, [a + b for a, b in zip(columns[:half], columns[half:])],
+                      [a + b for a, b in zip(rows[:half], rows[half:])])
+                + split(less_middle(-half), columns[half:], rows[:half])
+                + split(less_middle(half), columns[:half], rows[half:]))
+    offsets = range(1 - size, size)
+    return split({o: tuple(int(o == p) for p in offsets) for o in offsets},
+                 [[c] for c in range(size)], [[r] for r in range(size)])
+
+
+_RECIPES = _toeplitz_recipes(_B)
+
+
 def s1342_convolution(up_to: int) -> list[int]:
     """Values s(0..up_to) built from s(n) = sum_{i=1..n} I(i)·s(n-i), s(0) = 1.
 
-    The blocks I(i) = t(i-1) come from ``t_recurrence``, one checked exact
-    division per new term, and each is split once into odd(i) << shift(i),
-    its odd part and its count of trailing zero bits (t(i-1) carries a factor
-    2^(i-2)), so every product multiplies the odd part only and shifts the
-    rest back in.  Each s(n) is one C-level reduction over aligned slices:
-    the blocks run backwards from i = n while s runs forwards from s(0).
+    The I(i) = t(i-1) come from ``t_recurrence``, one checked exact division
+    per new term, read up to t(up_to-1); I(i) above up_to only reaches rows
+    above up_to and is taken as 0.  s is built in blocks of 8 values.  What
+    block k takes from the earlier blocks j is an 8×8 Toeplitz product with
+    T[r][c] = I(8(k-j)+r-c), which Karatsuba's split (``_RECIPES``) does as 27
+    scalar products in place of 64.  Each recipe's I-combination is stored
+    per k-j as its odd part and its count of trailing zero bits, so every
+    product multiplies the odd part only and shifts the rest back in; its sum
+    of s-columns is formed inside the reduction.  Each recipe's product over
+    all earlier blocks is one C-level reduction over aligned slices, and
+    inside a block each s(n) adds its own terms I(1..7)·s directly.
 
     >>> s1342_convolution(6)
     [1, 1, 2, 6, 23, 103, 512]
     """
     if up_to < 0:
         raise DomainError(f"up_to must be nonnegative, got {up_to}")
-    odd, shift = [0, 1], [0, 0]  # I(1) = 1
-    for block in map(t_recurrence, range(1, up_to)):  # I(i + 1) = t(i)
-        zeros = (block & -block).bit_length() - 1
-        odd.append(block >> zeros)
-        shift.append(zeros)
+    blocks = up_to // _B + 1
+    indecomposable = [0, 1, *map(t_recurrence, range(1, up_to))]  # I(i + 1) = t(i)
+    indecomposable += [0] * (blocks * _B - len(indecomposable))
+    products = []
+    for combination, columns, rows in _RECIPES:
+        odd, shift = [0], [0]
+        for d in range(_B, blocks * _B, _B):
+            value = sum(map(mul, combination, indecomposable[d - _B + 1:d + _B]))
+            zeros = max((value & -value).bit_length() - 1, 0)
+            odd.append(value >> zeros)
+            shift.append(zeros)
+        products.append((odd, shift, columns, rows))
     out = [1]
-    for n in range(1, up_to + 1):
-        out.append(sum(map(lshift, map(mul, odd[n:0:-1], out), shift[n:0:-1])))
+    for k in range(blocks):
+        n0 = k * _B
+        strided = [out[c:n0:_B] for c in range(_B)]
+        y = [0] * _B
+        for odd, shift, columns, rows in products:
+            x = (strided[columns[0]] if len(columns) == 1
+                 else map(sum, zip(*[strided[c] for c in columns])))
+            term = sum(map(lshift, map(mul, odd[k:0:-1], x), shift[k:0:-1]))
+            for r in rows:
+                y[r] += term
+        for n in range(max(n0, 1), min(n0 + _B, up_to + 1)):
+            out.append(y[n - n0] + sum(map(mul, indecomposable[n - n0:0:-1], out[n0:])))
     return out
 
 

@@ -122,6 +122,15 @@ def oracle_t_closed(n):
     return numerator // denominator
 
 
+def oracle_s1342_convolution(up_to):
+    """s(0..up_to) from s(n) = sum_{i=1..n} I(i)·s(n-i), I(1) = 1 and I(i) = t(i-1), term by term."""
+    blocks = [0, 1] + [oracle_t_closed(i - 1) for i in range(2, up_to + 1)]
+    values = [1]
+    for n in range(1, up_to + 1):
+        values.append(sum(blocks[i] * values[n - i] for i in range(1, n + 1)))
+    return values
+
+
 def oracle_catalan(n):
     """Catalan numbers by the additive recurrence."""
     values = [1]

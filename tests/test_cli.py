@@ -465,11 +465,12 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, error):
     assert (code, out, err) == (4, "", "internal error: self-check failed\n")
 
 
-def test_corrupt_closed_form_term_is_an_internal_error(capsys, monkeypatch):
+@pytest.mark.parametrize("method", ["closed", "convolution"])
+def test_corrupt_closed_form_term_is_an_internal_error(capsys, monkeypatch, method):
     # 4 in place of t(2) = 3 keeps the step to t(3) exact (20·4/5) but makes
-    # the step to t(4), 28·16/6, inexact
+    # the step to t(4), 28·16/6, inexact; both routes read t off the checked recurrence
     monkeypatch.setattr(counting, "_t_cache", [None, 1, 4])
-    code, out, err = run(capsys, "count", "--n", "20", "--pattern", "1342", "--method", "closed")
+    code, out, err = run(capsys, "count", "--n", "20", "--pattern", "1342", "--method", method)
     assert (code, out) == (4, "")
     assert err.startswith("internal error: ") and err.count("\n") == 1
 
@@ -599,6 +600,15 @@ def test_verify_bijection_reports_a_failed_roundtrip(capsys, monkeypatch):
     lines = verify_bijection_fails(capsys, 3)
     assert "FAIL n=2: roundtrip 12 -> 0(0) -> 21" in lines
     assert not any(line.startswith("FAIL n=1:") for line in lines)
+
+
+def test_verify_bijection_reports_an_invalid_image_and_skips_its_roundtrip(capsys, monkeypatch):
+    forward, invalid = bijections.F_forward, trees.parse("0(1)")
+    monkeypatch.setattr(bijections, "F_forward", lambda p: invalid if len(p) == 2 else forward(p))
+    lines = verify_bijection_fails(capsys, 3)
+    assert "FAIL n=2: image of 12 is not a valid tree" in lines
+    assert not any("roundtrip" in line for line in lines)
+    assert not any(line.startswith(("FAIL n=1:", "FAIL n=3:")) for line in lines)
 
 
 def test_verify_bijection_reports_a_collision_and_a_short_image(capsys, monkeypatch):

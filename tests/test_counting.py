@@ -25,7 +25,12 @@ from avoid1342 import (
 
 from avoid1342 import counting
 
-from oracles import oracle_catalan, oracle_s1342_closed_form, oracle_t_closed
+from oracles import (
+    oracle_catalan,
+    oracle_s1342_closed_form,
+    oracle_s1342_convolution,
+    oracle_t_closed,
+)
 
 P1342 = Permutation((1, 3, 4, 2))
 P1234 = Permutation((1, 2, 3, 4))
@@ -101,12 +106,21 @@ def test_s1342_closed_values():
         s1342_closed(0)
 
 
-def test_s1342_convolution():
+def test_s1342_convolution(monkeypatch):
     values = s1342_convolution(10)
     assert values[0] == 1
     assert values[2] == 2
     assert values[5] == 103
     assert values[1:] == S1342_VALUES
+    # every shape of a partial last block of 8, over six blocks
+    expected = oracle_s1342_convolution(40)
+    for up_to in range(41):
+        assert s1342_convolution(up_to) == expected[:up_to + 1]
+    # the blocked route reads t(1..up_to-1) only, though its last block reaches past up_to
+    for up_to in (0, 1, 2, 3, 8, 9, 15, 16, 40):
+        monkeypatch.setattr(counting, "_t_cache", [None, 1])
+        s1342_convolution(up_to)
+        assert len(counting._t_cache) == max(up_to, 2)
 
 
 def test_convolution_matches_closed_form_to_1200():
