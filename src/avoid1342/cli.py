@@ -15,9 +15,12 @@ combination, 3 refused resource ceiling (``--max-brute-n`` for brute force,
 ``QUADRATIC_CEILING`` for series, convolution and the sequences suite), 4
 internal error (a failed self-check; a bug, never bad input).  ``--method
 series`` reads the linear route ``series.H_series_rational``; ``verify`` keeps
-the division route as its second series route.  Integer options read ASCII
-digits after an optional minus, and ``--pattern`` is read as a permutation by
-every method.  ``sequence --upto 0`` refuses what ``count --n 0`` refuses;
+the division route as its second series route.  ``--method closed`` reads one
+pass for the whole range: the closed form's running sums for 1342 and the
+P-recurrence for 1234, so ``sequence --upto N`` computes its rows at the
+cost of ``count --n N``, and s(0) = 1 comes out of the pass.  Integer
+options read ASCII digits after an optional minus, and ``--pattern`` is read
+as a permutation by every method.  ``sequence --upto 0`` refuses what ``count --n 0`` refuses;
 ``sequence`` and ``verify`` check their ceilings before any work.  Every
 brute count runs in this process through ``perms.count_avoiders``;
 ``--workers`` is checked and otherwise ignored.
@@ -103,8 +106,8 @@ def _counts(args, lo: int, hi: int) -> list[int]:
     if p.values != (1, 3, 4, 2):
         route = "closed form" if args.method == "closed" else args.method
         raise DomainError(f"no {route} for pattern {args.pattern}")
-    if args.method == "closed":  # n = 0 counts the empty permutation
-        return [counting.s1342_closed(n) if n else 1 for n in range(lo, hi + 1)]
+    if args.method == "closed":
+        return counting._s1342_closed_values(lo, hi)
     if hi > QUADRATIC_CEILING:
         raise ResourceLimitError(
             f"n={hi} exceeds the ceiling {QUADRATIC_CEILING} of --method {args.method}")

@@ -11,8 +11,11 @@ Sequences handled here, all as exact arbitrary-precision integers:
   which is 1 for n = 1 and t_closed(n-1) afterwards;
 * ``s1342_closed(n)``   -- all 1342-avoiders of length n, by the paper's
   alternating closed form, whose terms 3·2^(i+1)·(2i-4)!/(i!(i-2)!) are
-  16·t(i-2) for i >= 3, summed as (5n^2-9n+2)/2·(-1)^n
-  + sum_{m=2..n-1} (-1)^m·8m(m-1)·t(n-m); ``s1342_convolution`` builds the
+  16·t(i-2) for i >= 3.  As series, S(x)·(1+x)^3 = 1 + 4x + 8x^2
+  + 16x^2·sum_k t(k)·x^k, so (-1)^n·s(n) is the third running sum of (-1)^k·g(k),
+  g = 1, 4, 8, 16·t(1), 16·t(2), ...: one lazy chain of
+  ``itertools.accumulate`` gives every s(0..N), which ``s1342_closed``,
+  the CLI and ``cross_check`` read.  ``s1342_convolution`` builds the
   same numbers from the indecomposable counts I(i) = t(i-1) via
   s(n) = sum_i I(i)·s(n-i) (H = 1/(1-F)) in blocks of 8 values: what a block
   takes from the earlier ones is an 8×8 Toeplitz product, done by
@@ -34,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, cycle, islice
 from operator import lshift, mul, sub
 
 from .errors import DEFAULT_CEILING, DomainError, exact_quotient
@@ -85,6 +89,23 @@ def indecomposable_count(n: int) -> int:
     return 1 if n == 1 else t_closed(n - 1)
 
 
+def _s1342_closed_values(lo: int, hi: int) -> list[int]:
+    """Values s1342(lo..hi), 0 <= lo, by the running sums derived at ``s1342_closed``.
+
+    t is read off ``t_recurrence``, and each t(j) takes its sign and its
+    factor 16 in one product.  The values below lo are passed over inside the
+    chain, and each value kept takes its sign once.
+
+    >>> _s1342_closed_values(0, 6)
+    [1, 1, 2, 6, 23, 103, 512]
+    """
+    if hi > 2:
+        t_recurrence(hi - 2)
+    signed = chain((1, -4, 8), map(mul, islice(_t_cache, 1, None), cycle((-16, 16))))
+    alternating = accumulate(accumulate(accumulate(islice(signed, hi + 1))))
+    return list(map(mul, islice(alternating, lo, None), cycle((-1, 1) if lo % 2 else (1, -1))))
+
+
 def s1342_closed(n: int) -> int:
     """Number of 1342-avoiding n-permutations by the alternating closed form.
 
@@ -92,21 +113,21 @@ def s1342_closed(n: int) -> int:
       + 3·sum_{i=2..n} 2^(i+1) · (2i-4)!/(i!(i-2)!) · C(n-i+2, 2) · (-1)^(n-i),
     has the terms 3·2^(i+1)·(2i-4)!/(i!(i-2)!) = 16·t(i-2) for i >= 3.  The
     i = 2 term folds into the polynomial, and m = n-i+2 gives the t form
-    (5n^2-9n+2)/2 · (-1)^n + 16·sum_{m=2..n-1} (-1)^m · C(m, 2) · t(n-m),
-    summed from t(1) up (the running total then stays as short as the terms)
-    with each C(m, 2) one 30-bit digit up to m = 46 340.  First values: 1, 2,
-    6, 23, 103, 512.
+    s(n) = (5n^2-9n+2)/2 · (-1)^n + 16·sum_{m=2..n-1} (-1)^m · C(m, 2) · t(n-m).
+    As series in x: the weights (-1)^m·C(m, 2) are the coefficients of
+    x^2/(1+x)^3, and the polynomial term's values 1, 1, 2, -10, ... those of
+    (1 + 4x + 8x^2)/(1+x)^3.  So S(x)·(1+x)^3 = g(x) with
+    g = 1, 4, 8, 16·t(1), 16·t(2), ..., and e(n) = (-1)^n·s(n) is the third
+    running sum of (-1)^k·g(k): three C-level passes of additions, which
+    give every s(0..n) on the way.  This keeps the last one.  First values:
+    1, 2, 6, 23, 103, 512.
 
     >>> s1342_closed(6)
     512
     """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    if n > 2:
-        t_recurrence(n - 2)
-    lead = exact_quotient(5 * n * n - 9 * n + 2, 2, f"s1342({n}) lead term")
-    weights = [-(m * (m - 1) >> 1) if m % 2 else m * (m - 1) >> 1 for m in range(n - 1, 1, -1)]
-    return (-lead if n % 2 else lead) + (sum(map(mul, _t_cache[1:n - 1], weights)) << 4)
+    return _s1342_closed_values(n, n)[0]
 
 
 _B = 8  # values of s per block of s1342_convolution
@@ -345,8 +366,8 @@ def cross_check(
     report = CrossCheckReport()
 
     s_report = SequenceReport("s1342")
-    closed = {n: s1342_closed(n) for n in range(1, up_to_closed + 1)}
-    convolution = s1342_convolution(up_to_closed)
+    convolution = s1342_convolution(up_to_closed)  # refuses a negative up_to_closed
+    closed = _s1342_closed_values(0, up_to_closed)
     h_div = H_series_division(up_to_closed) if up_to_closed >= 1 else None
     h_rat = H_series_rational(up_to_closed) if up_to_closed >= 1 else None
     for n in range(1, up_to_closed + 1):
@@ -387,7 +408,7 @@ def cross_check(
         c_report.add(n, count_avoiders(n, _P132, ceiling=brute_ceiling), "brute-132")
     report.reports.append(c_report)
 
-    for n, value in closed.items():
+    for n, value in enumerate(closed[1:], start=1):
         if not value < 8 ** n:
             report.bound_violations.append(f"s1342({n}) >= 8^{n}")
     s1234 = s1234_recurrence(up_to_closed)

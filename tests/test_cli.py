@@ -309,6 +309,15 @@ def test_sequence_closed_matches_known_values(capsys):
     assert out == "".join(f"{n} {v}\n" for n, v in enumerate(S1342_VALUES, start=1))
 
 
+def test_sequence_1342_closed_matches_the_rational_series_to_2500(capsys):
+    # the closed rows, one pass of running sums, against the independent linear series route
+    h = series.H_series_rational(2500)
+    code, out, err = run(capsys, "sequence", "--pattern", "1342", "--upto", "2500",
+                         "--method", "closed")
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{n} {int(h.coefficient(n))}\n" for n in range(1, 2501))
+
+
 def test_sequence_1234_closed_is_linear_in_upto(capsys):
     # one P-recurrence step per value; summing the closed form for every n
     # grows about 8-fold per doubling of --upto (about 30 s at 1000)
@@ -465,12 +474,16 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch, error):
     assert (code, out, err) == (4, "", "internal error: self-check failed\n")
 
 
-@pytest.mark.parametrize("method", ["closed", "convolution"])
-def test_corrupt_closed_form_term_is_an_internal_error(capsys, monkeypatch, method):
+@pytest.mark.parametrize("argv", [
+    ("count", "--n", "20", "--method", "closed"),
+    ("count", "--n", "20", "--method", "convolution"),
+    ("sequence", "--upto", "20", "--method", "closed"),
+], ids=["closed", "convolution", "sequence-closed"])
+def test_corrupt_closed_form_term_is_an_internal_error(capsys, monkeypatch, argv):
     # 4 in place of t(2) = 3 keeps the step to t(3) exact (20·4/5) but makes
     # the step to t(4), 28·16/6, inexact; both routes read t off the checked recurrence
     monkeypatch.setattr(counting, "_t_cache", [None, 1, 4])
-    code, out, err = run(capsys, "count", "--n", "20", "--pattern", "1342", "--method", method)
+    code, out, err = run(capsys, *argv, "--pattern", "1342")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: ") and err.count("\n") == 1
 

@@ -212,8 +212,12 @@ def test_cross_check_bound_reads_one_1234_recurrence_pass(monkeypatch):
 
 
 def test_cross_check_reports_a_closed_value_at_8_to_the_n(monkeypatch):
-    closed = counting.s1342_closed
-    monkeypatch.setattr(counting, "s1342_closed", lambda n: 8 ** n if n == 3 else closed(n))
+    values = counting._s1342_closed_values
+
+    def raised_at_3(lo, hi):
+        return [8 ** n if n == 3 else v for n, v in enumerate(values(lo, hi), start=lo)]
+
+    monkeypatch.setattr(counting, "_s1342_closed_values", raised_at_3)
     assert cross_check(8, 0).bound_violations == ["s1342(3) >= 8^3"]
 
 
@@ -275,6 +279,24 @@ def test_report_json_schema():
 def test_s1342_closed_matches_the_rational_formula_to_300():
     for n in range(1, 301):
         assert s1342_closed(n) == oracle_s1342_closed_form(n)
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_s1342_closed_values_edge_cases(monkeypatch, warm):
+    # a warm cache holds more t than up_to reads; at up_to = 0 a slice
+    # _t_cache[1:up_to - 1] would read all of it
+    expected = s1342_convolution(600)
+    for up_to in [*range(41), 600]:
+        monkeypatch.setattr(counting, "_t_cache", [None, 1])
+        if warm:
+            counting.t_recurrence(700)
+        values = counting._s1342_closed_values(0, up_to)
+        assert values == [1] + [s1342_closed(n) for n in range(1, up_to + 1)]
+        assert values == expected[:up_to + 1] == s1342_convolution(up_to)
+        for lo in {0, 1, up_to // 2, up_to, up_to + 1}:
+            assert counting._s1342_closed_values(lo, up_to) == values[lo:]
+    with pytest.raises(DomainError):
+        cross_check(-3, 0)
 
 
 def test_s1342_closed_is_the_same_before_and_after_the_cache_grows(monkeypatch):
