@@ -16,9 +16,10 @@ combination, 3 refused resource ceiling (``--max-brute-n`` for brute force,
 internal error (a failed self-check; a bug, never bad input).  ``--method
 series`` reads the linear route ``series.H_series_rational``; ``verify`` keeps
 the division route as its second series route.  ``--method closed`` reads one
-pass for the whole range: the closed form's running sums for 1342 and the
-P-recurrence for 1234, so ``sequence --upto N`` computes its rows at the
-cost of ``count --n N``, and s(0) = 1 comes out of the pass.  Integer
+pass for the whole range and keeps only the rows it prints: the closed
+form's running sums for 1342 and the P-recurrence for 1234, so ``sequence
+--upto N`` computes its rows at the cost of ``count --n N``, and s(0) = 1
+comes out of the pass.  Integer
 options read ASCII digits after an optional minus, and ``--pattern`` is read
 as a permutation by every method.  ``sequence --upto 0`` refuses what ``count --n 0`` refuses;
 ``sequence`` and ``verify`` check their ceilings before any work.  Every
@@ -65,7 +66,7 @@ EXIT_INTERNAL = 4
 #: Largest n of ``--method series`` and ``convolution`` and ``verify --suite
 #: sequences``.  The convolution and the suite's division-route series are
 #: quadratic in big integers: at 2 500 on a 2-core 2 GHz machine (Python 3.11)
-#: the convolution takes about 11 s and the division route about 23 s.
+#: the convolution takes about 5-6 s and the division route about 23 s.
 #: ``--method series`` reads the linear route, 0.02 s at 2 500, and keeps the
 #: same ceiling.
 QUADRATIC_CEILING = 2500
@@ -102,7 +103,7 @@ def _counts(args, lo: int, hi: int) -> list[int]:
         return [perms.count_avoiders(n, p, ceiling=args.max_brute_n) for n in range(lo, hi + 1)]
     from . import counting, series
     if (p.values, args.method) == ((1, 2, 3, 4), "closed"):
-        return counting.s1234_recurrence(hi)[lo:]  # linear; the closed sum is not
+        return counting._s1234_values(lo, hi)  # linear; the closed sum is not
     if p.values != (1, 3, 4, 2):
         route = "closed form" if args.method == "closed" else args.method
         raise DomainError(f"no {route} for pattern {args.pattern}")

@@ -17,13 +17,18 @@ Sequences handled here, all as exact arbitrary-precision integers:
   ``itertools.accumulate`` gives every s(0..N), which ``s1342_closed``,
   the CLI and ``cross_check`` read.  ``s1342_convolution`` builds the
   same numbers from the indecomposable counts I(i) = t(i-1) via
-  s(n) = sum_i I(i)·s(n-i) (H = 1/(1-F)) in blocks of 8 values: what a block
-  takes from the earlier ones is an 8×8 Toeplitz product, done by
-  Karatsuba's split as 27 products in place of 64, each one C-level
-  reduction that multiplies only odd parts and shifts the powers of two back
-  in.  Both read t off ``t_recurrence``;
+  s(n) = sum_i I(i)·s(n-i) (H = 1/(1-F)) in blocks of 18 values: what a
+  block takes from the earlier ones is an 18×18 Toeplitz product, split as
+  two transposed Toom-3 levels over one Karatsuba level into 75 products in
+  place of 324.  Each level forms its children's column sums once from its
+  own; the I-combinations are scaled by 6 per Toom-3 level, so each block is
+  divided by 36 with a checked exact division.  The products multiply only
+  odd parts and shift the powers of two back in.  Below 200 values the
+  split is empty (blocks of 1), which is faster there.  Both routes read t
+  off ``t_recurrence``;
 * ``s1234_closed(n)``   -- all 1234-avoiders of length n; ``s1234_recurrence``
-  builds the same numbers from their P-recurrence.
+  builds the same numbers from their P-recurrence, and ``_s1234_values``
+  any range of them with two terms live.
 
 Closed forms are evaluated on integers: every division is a checked exact
 division (``IntegralityError`` on a remainder), so any transcription slip
@@ -37,8 +42,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, cycle, islice
-from operator import lshift, mul, sub
+from functools import partial, reduce
+from itertools import accumulate, chain, cycle, islice, repeat
+from operator import add, itemgetter, lshift, mul, rshift
 
 from .errors import DEFAULT_CEILING, DomainError, exact_quotient
 from .perms import Permutation, count_avoiders
@@ -130,36 +136,84 @@ def s1342_closed(n: int) -> int:
     return _s1342_closed_values(n, n)[0]
 
 
-_B = 8  # values of s per block of s1342_convolution
+# One level of the split of a Toeplitz product y = T·x of size f·m, T[r][c] = d(r-c),
+# into products of size m.  With x_j and y_i the entries whose index is j and i mod f,
+# y_i = sum_j D_(i-j)·x_j, where D_b is the m×m Toeplitz with diagonal o -> d(o·f + b).
+# Per level: the weights of x_0..x_(f-1) in each child's columns, of D_(1-f)..D_(f-1)
+# in each child's diagonals, of the children in each y_i, and the scale of the diagonal
+# weights.  f = 2 is Karatsuba's three products, f = 3 Toom-3's five at 0, 1, -1, 2 and
+# infinity, transposed.
+_LEVELS = {
+    2: (((1, 1), (0, 1), (1, 0)),
+        ((0, 1, 0), (1, -1, 0), (0, -1, 1)),
+        ((1, 1, 0), (1, 0, 1)),
+        1),
+    3: (((0, 0, 1), (1, 1, 1), (1, -1, 1), (4, 2, 1), (1, 0, 0)),
+        ((6, -3, -6, 3, 0), (0, 6, 3, -3, 0), (0, -2, 3, -1, 0), (0, -1, 0, 1, 0),
+         (0, 12, -6, -12, 6)),
+        ((1, 1, 1, 1, 0), (0, 1, -1, 2, 0), (0, 1, 1, 4, 1)),
+        6),
+}
+
+# (least up_to, split): s1342_convolution takes the first split whose bound up_to meets
+_SPLITS = ((200, (3, 3, 2)), (0, ()))
+
+# earlier values of s that ``_block_product`` takes at once, which bounds what it holds
+_CHUNK = 144
 
 
-def _toeplitz_recipes(size: int) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
-    """Karatsuba's split of y = T·x, T[r][c] = d(r-c) a size×size Toeplitz matrix.
+def _combine(weights, sequences):
+    """The elementwise sum of weight·sequence, lazily; a lone weight 1 passes its sequence on."""
+    terms = [s if w == 1 else map(mul, s, repeat(w)) for w, s in zip(weights, sequences) if w]
+    return reduce(partial(map, add), terms)
 
-    With T = [[T0, T-], [T+, T0]] in halves, y_top = T0(x0+x1) + (T- - T0)x1
-    and y_bottom = T0(x0+x1) + (T+ - T0)x0: three Toeplitz products of half
-    the size in place of four, applied down to scalars (27 for size 8).  Each
-    recipe is (its coefficient of every diagonal d(1-size..size-1), the
-    columns of x it adds, the rows of y it adds into).
+
+def _leaf_tables(split, diagonals: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """Every leaf's I-combination as (its odd parts, their shifts), in ``_block_product``'s order.
+
+    ``diagonals[o + size - 1]`` is d(o) over the pairs of blocks.  Each level
+    forms its children's diagonals from its own, scaled, and interleaves
+    their leaves, so the last level's child index varies slowest.
     """
-    def split(diagonal, columns, rows):
-        half = len(columns) // 2
-        if not half:
-            return [(diagonal[0], columns[0], rows[0])]
-        middle = {o: diagonal[o] for o in range(1 - half, half)}
-
-        def less_middle(offset):
-            return {o: tuple(map(sub, diagonal[o + offset], diagonal[o])) for o in middle}
-        return (split(middle, [a + b for a, b in zip(columns[:half], columns[half:])],
-                      [a + b for a, b in zip(rows[:half], rows[half:])])
-                + split(less_middle(-half), columns[half:], rows[:half])
-                + split(less_middle(half), columns[:half], rows[half:]))
-    offsets = range(1 - size, size)
-    return split({o: tuple(int(o == p) for p in offsets) for o in offsets},
-                 [[c] for c in range(size)], [[r] for r in range(size)])
+    if not split:
+        (values,) = diagonals
+        shifts = [max((value & -value).bit_length() - 1, 0) for value in values]
+        return [(list(map(rshift, values, shifts)), shifts)]
+    f, rest = split[0], split[1:]
+    children = [_leaf_tables(rest, [list(_combine(weights, diagonals[q * f:q * f + 2 * f - 1]))
+                                    for q in range((len(diagonals) + 1) // f - 1)])
+                for weights in _LEVELS[f][1]]
+    return list(chain.from_iterable(zip(*children)))
 
 
-_RECIPES = _toeplitz_recipes(_B)
+def _block_product(split, odd, shift, out: list[int], k: int) -> list[int]:
+    """scale·y for block k: the sum over the earlier blocks j of T_(k-j)·x_j.
+
+    ``out`` holds x_j[c] at j·size + c, read ``_CHUNK`` values at a time.
+    Each level splits its nodes' columns by their index mod f and forms all
+    their children's columns at once, each from its parent's.  Then one
+    C-level pass multiplies every leaf's odd parts by its columns and shifts
+    them back, summed per leaf, and the levels combine the sums into rows.
+    """
+    size, sums = math.prod(split), [0] * len(odd)
+    for j in range(0, k, _CHUNK // size):
+        count = min(_CHUNK // size, k - j)
+        columns = out[j * size:(j + count) * size]
+        for f in split:
+            columns = list(columns)
+            parts = [columns[d::f] for d in range(f)]
+            columns = chain.from_iterable(_combine(weights, parts) for weights in _LEVELS[f][0])
+        window = itemgetter(slice(k - j, k - j - count, -1))
+        products = map(lshift, map(mul, chain.from_iterable(map(window, odd)), columns),
+                       chain.from_iterable(map(window, shift)))
+        sums = list(map(add, sums, map(sum, zip(*[products] * count))))
+    for f in reversed(split):
+        column_weights, _, row_weights, _ = _LEVELS[f]
+        step = len(sums) // len(column_weights)
+        children = [sums[c:c + step] for c in range(0, len(sums), step)]
+        sums = list(chain.from_iterable(zip(*[_combine(weights, children)
+                                              for weights in row_weights])))
+    return sums
 
 
 def s1342_convolution(up_to: int) -> list[int]:
@@ -167,46 +221,38 @@ def s1342_convolution(up_to: int) -> list[int]:
 
     The I(i) = t(i-1) come from ``t_recurrence``, one checked exact division
     per new term, read up to t(up_to-1); I(i) above up_to only reaches rows
-    above up_to and is taken as 0.  s is built in blocks of 8 values.  What
-    block k takes from the earlier blocks j is an 8×8 Toeplitz product with
-    T[r][c] = I(8(k-j)+r-c), which Karatsuba's split (``_RECIPES``) does as 27
-    scalar products in place of 64.  Each recipe's I-combination is stored
-    per k-j as its odd part and its count of trailing zero bits, so every
-    product multiplies the odd part only and shifts the rest back in; its sum
-    of s-columns is formed inside the reduction.  Each recipe's product over
-    all earlier blocks is one C-level reduction over aligned slices, and
-    inside a block each s(n) adds its own terms I(1..7)·s directly.
+    above up_to and is taken as 0.  From up_to = 200 on (``_SPLITS``), s is
+    built in blocks of 18 values.  What block k takes from the earlier blocks
+    j is an 18×18 Toeplitz product with T[r][c] = I(18(k-j)+r-c), split as
+    two transposed Toom-3 levels over one Karatsuba level (``_LEVELS``): 75
+    scalar products in place of 324.  Each leaf's I-combination, with the
+    Toom-3 weights scaled by 6 per level, is stored per k-j as its odd part
+    and its count of trailing zero bits, so every product multiplies the odd
+    part only and shifts the rest back in.  Each block's y comes out scaled by
+    36 and is divided back with ``exact_quotient``; inside a block each s(n)
+    adds its own terms I(1..17)·s directly.  Below 200 the split is empty:
+    blocks of 1, the plain per-n sum over the same odd parts and shifts.
 
     >>> s1342_convolution(6)
     [1, 1, 2, 6, 23, 103, 512]
     """
     if up_to < 0:
         raise DomainError(f"up_to must be nonnegative, got {up_to}")
-    blocks = up_to // _B + 1
+    split = next(split for least, split in _SPLITS if up_to >= least)
+    size, scale = math.prod(split), math.prod(_LEVELS[f][3] for f in split)
+    blocks = up_to // size + 1
     indecomposable = [0, 1, *map(t_recurrence, range(1, up_to))]  # I(i + 1) = t(i)
-    indecomposable += [0] * (blocks * _B - len(indecomposable))
-    products = []
-    for combination, columns, rows in _RECIPES:
-        odd, shift = [0], [0]
-        for d in range(_B, blocks * _B, _B):
-            value = sum(map(mul, combination, indecomposable[d - _B + 1:d + _B]))
-            zeros = max((value & -value).bit_length() - 1, 0)
-            odd.append(value >> zeros)
-            shift.append(zeros)
-        products.append((odd, shift, columns, rows))
+    indecomposable += [0] * (blocks * size - len(indecomposable))
+    padded = [0] * (size - 1) + indecomposable
+    diagonals = [padded[o:o + blocks * size:size] for o in range(2 * size - 1)]
+    odd, shift = zip(*_leaf_tables(split, diagonals))
     out = [1]
     for k in range(blocks):
-        n0 = k * _B
-        strided = [out[c:n0:_B] for c in range(_B)]
-        y = [0] * _B
-        for odd, shift, columns, rows in products:
-            x = (strided[columns[0]] if len(columns) == 1
-                 else map(sum, zip(*[strided[c] for c in columns])))
-            term = sum(map(lshift, map(mul, odd[k:0:-1], x), shift[k:0:-1]))
-            for r in rows:
-                y[r] += term
-        for n in range(max(n0, 1), min(n0 + _B, up_to + 1)):
-            out.append(y[n - n0] + sum(map(mul, indecomposable[n - n0:0:-1], out[n0:])))
+        n0 = k * size
+        y = _block_product(split, odd, shift, out, k)
+        for n in range(max(n0, 1), min(n0 + size, up_to + 1)):
+            out.append(exact_quotient(y[n - n0], scale, f"s1342({n}) convolution block")
+                       + sum(map(mul, indecomposable[n - n0:0:-1], out[n0:])))
     return out
 
 
@@ -234,6 +280,26 @@ def s1234_closed(n: int) -> int:
     return exact_quotient(2 * total, common, f"s1234({n})")
 
 
+def _s1234_values(lo: int, hi: int) -> list[int]:
+    """Values s1234(lo..hi), 0 <= lo, from the P-recurrence of ``s1234_recurrence``.
+
+    Two terms are live at a time, one checked division per new term, and
+    only the values from lo on are kept.
+
+    >>> _s1234_values(5, 7)
+    [103, 513, 2761]
+    """
+    kept = [1, 1][lo:hi + 1]
+    previous, current = 1, 1  # a(n), a(n+1)
+    for n in range(hi - 1):
+        step = (10 * n * n + 42 * n + 41) * current - 9 * (n + 1) ** 2 * previous
+        previous, current = current, exact_quotient(step, (n + 4) ** 2,
+                                                    f"s1234({n + 2}) recurrence step")
+        if n + 2 >= lo:
+            kept.append(current)
+    return kept
+
+
 def s1234_recurrence(up_to: int) -> list[int]:
     """Values s1234(0..up_to) from the P-recurrence, one checked division per term.
 
@@ -246,11 +312,7 @@ def s1234_recurrence(up_to: int) -> list[int]:
     """
     if up_to < 0:
         raise DomainError(f"up_to must be nonnegative, got {up_to}")
-    out = [1, 1]
-    for n in range(up_to - 1):
-        step = (10 * n * n + 42 * n + 41) * out[n + 1] - 9 * (n + 1) ** 2 * out[n]
-        out.append(exact_quotient(step, (n + 4) ** 2, f"s1234({n + 2}) recurrence step"))
-    return out[:up_to + 1]
+    return _s1234_values(0, up_to)
 
 
 def nth_root_estimate(n: int) -> float:

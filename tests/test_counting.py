@@ -1,12 +1,15 @@
 import json
 import math
+import random
 import time
+import tracemalloc
 
 import pytest
 
 from avoid1342 import (
     DomainError,
     F_series,
+    IntegralityError,
     Permutation,
     SequenceReport,
     catalan,
@@ -24,6 +27,7 @@ from avoid1342 import (
 )
 
 from avoid1342 import counting
+from avoid1342.cli import main
 
 from oracles import (
     oracle_catalan,
@@ -112,15 +116,66 @@ def test_s1342_convolution(monkeypatch):
     assert values[2] == 2
     assert values[5] == 103
     assert values[1:] == S1342_VALUES
-    # every shape of a partial last block of 8, over six blocks
-    expected = oracle_s1342_convolution(40)
-    for up_to in range(41):
-        assert s1342_convolution(up_to) == expected[:up_to + 1]
-    # the blocked route reads t(1..up_to-1) only, though its last block reaches past up_to
-    for up_to in (0, 1, 2, 3, 8, 9, 15, 16, 40):
-        monkeypatch.setattr(counting, "_t_cache", [None, 1])
-        s1342_convolution(up_to)
-        assert len(counting._t_cache) == max(up_to, 2)
+    expected = oracle_s1342_convolution(72)
+    for least, split in counting._SPLITS:
+        monkeypatch.setattr(counting, "_SPLITS", ((0, split),))
+        # every shape of a partial last block of 18 (or 1), over four blocks
+        for up_to in range(73):
+            assert s1342_convolution(up_to) == expected[:up_to + 1]
+        # the blocked route reads t(1..up_to-1) only, though its last block reaches past up_to
+        for up_to in (0, 1, 2, 3, 17, 18, 19, 35, 36, 37, 72):
+            monkeypatch.setattr(counting, "_t_cache", [None, 1])
+            s1342_convolution(up_to)
+            assert len(counting._t_cache) == max(up_to, 2)
+    monkeypatch.undo()
+    # either side of the switch to blocks of 18
+    for up_to in (199, 200):
+        assert s1342_convolution(up_to) == counting._s1342_closed_values(0, up_to)
+
+
+SPLITS = sorted({split for _, split in counting._SPLITS} | {(2,), (3,), (2, 3), (3, 2)})
+
+
+@pytest.mark.parametrize("split", SPLITS, ids=lambda split: "x".join(map(str, split)) or "1")
+@pytest.mark.parametrize("chunk", ["default", "one block"])
+def test_block_product_is_the_scaled_toeplitz_product(monkeypatch, split, chunk):
+    # the kernel alone, on signed integers with trailing zeros: scale times
+    # sum_j T_(k-j)·x_j with T_e[r][c] = d_e(r - c), which pins the weights of _LEVELS
+    size = math.prod(split)
+    scale = math.prod(counting._LEVELS[f][3] for f in split)
+    if chunk == "one block":
+        monkeypatch.setattr(counting, "_CHUNK", size)
+    rng = random.Random(2900 + size)
+
+    def draw():
+        return rng.randint(-10 ** 30, 10 ** 30) << rng.randrange(40)
+    for k in (1, 2, 10):
+        # d[e][o + size - 1] = d_e(o) for k - j = e in 1..k; e = 0 is never read
+        d = [[0] * (2 * size - 1)] + [[draw() for _ in range(2 * size - 1)] for _ in range(k)]
+        x = [draw() for _ in range(k * size)]  # x_j[c] at j·size + c
+        odd, shift = zip(*counting._leaf_tables(split, [list(diagonal) for diagonal in zip(*d)]))
+        assert counting._block_product(split, odd, shift, x, k) == [
+            scale * sum(d[k - j][r - c + size - 1] * x[j * size + c]
+                        for j in range(k) for c in range(size))
+            for r in range(size)]
+
+
+def test_a_nudged_leaf_fails_the_block_division(monkeypatch, capsys):
+    monkeypatch.setattr(counting, "_SPLITS", ((0, (3, 3, 2)),))
+    leaf_tables = counting._leaf_tables
+
+    def nudged(split, diagonals):
+        leaves = leaf_tables(split, diagonals)
+        if split == (3, 3, 2):  # the outermost call: one leaf's odd part at k - j = 1
+            leaves[0][0][1] += 1
+        return leaves
+    monkeypatch.setattr(counting, "_leaf_tables", nudged)
+    with pytest.raises(IntegralityError, match="convolution block"):
+        s1342_convolution(40)
+    code = main(["count", "--pattern", "1342", "--n", "40", "--method", "convolution"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: s1342(") and err.count("\n") == 1
 
 
 def test_convolution_matches_closed_form_to_1200():
@@ -154,6 +209,26 @@ def test_s1234_recurrence_matches_closed_form_and_brute_force():
     assert s1234_recurrence(1) == [1, 1]
     with pytest.raises(DomainError):
         s1234_recurrence(-1)
+
+
+def test_s1234_values_is_a_range_of_the_recurrence():
+    for hi in (0, 1, 2, 3, 7, 300):
+        values = s1234_recurrence(hi)
+        for lo in (0, 1, hi // 2, hi, hi + 1):
+            assert counting._s1234_values(lo, hi) == values[lo:]
+
+
+def test_closed_1234_count_keeps_only_its_row(capsys):
+    main(["count", "--pattern", "1234", "--n", "40", "--method", "closed"])  # imports the layers
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = main(["count", "--pattern", "1234", "--n", "4000", "--method", "closed"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().out) == (0, f"{s1234_recurrence(4000)[4000]}\n")
+    assert peak < 500_000  # the whole list of 4 001 values takes about 3.6 MB
 
 
 def test_s1342_equals_s1234_below_six():
