@@ -13,8 +13,10 @@ Subcommands::
 Exit codes: 0 success, 1 verification discrepancy, 2 bad input or unsupported
 combination, 3 refused resource ceiling (``--max-brute-n`` for brute force,
 ``QUADRATIC_CEILING`` for series, convolution and the sequences suite), 4
-internal error (a failed self-check; a bug, never bad input).  ``--method
-series`` reads the linear route ``series.H_series_rational``; ``verify`` keeps
+internal error (a failed self-check; a bug, never bad input).  Where the
+platform has SIGPIPE, ``entrypoint`` restores its default action, so a reader
+that closes stdout early ends the process quietly (status 141 in the shell).
+``--method series`` reads the linear route ``series.H_series_rational``; ``verify`` keeps
 the division route as its second series route.  ``--method closed`` reads one
 pass for the whole range and keeps only the rows it prints: the closed
 form's running sums for 1342 and the P-recurrence for 1234, so ``sequence
@@ -30,8 +32,8 @@ tree, and ``generate avoiders --count-only`` reads ``perms.count_avoiders``;
 both refuse n above ``--max-brute-n`` (default ``errors.DEFAULT_CEILING``) as
 their streams do.  A negative ``--max-brute-n`` is bad input.  ``verify
 --suite bijection`` proves the map onto by a count: the images are valid,
-distinct and ``trees.count_beta01`` many; ``counting.cross_check`` checks the
-tree stream.
+distinct and ``trees.count_beta01`` many; ``counting.cross_check`` (``verify
+--suite sequences``) reads the same count, so no suite builds every tree.
 
 Start-up is most of a short call's cost, so each command imports only the
 layers it runs: ``normalize``, the brute counts and ``generate avoiders``
@@ -43,6 +45,7 @@ counts and suites load ``counting`` and ``series`` (which load ``perms`` and
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from .errors import (
@@ -381,6 +384,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:  # console-script hook
+    # a reader that closes the pipe early (``| head``) ends the process by SIGPIPE, as
+    # it ends other Unix tools, not by a BrokenPipeError traceback and exit 1
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

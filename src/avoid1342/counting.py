@@ -23,9 +23,10 @@ Sequences handled here, all as exact arbitrary-precision integers:
   place of 324.  Each level forms its children's column sums once from its
   own; the I-combinations are scaled by 6 per Toom-3 level, so each block is
   divided by 36 with a checked exact division.  The products multiply only
-  odd parts and shift the powers of two back in.  Below 200 values the
-  split is empty (blocks of 1), which is faster there.  Both routes read t
-  off ``t_recurrence``;
+  odd parts and shift the powers of two back in.  Below 330 values the
+  split is empty: one block, whose every s(n) is the direct per-n sum,
+  which is faster there.  Both routes read t off ``t_recurrence``, which
+  grows its cache under a lock, so threads may share it;
 * ``s1234_closed(n)``   -- all 1234-avoiders of length n; ``s1234_recurrence``
   builds the same numbers from their P-recurrence, and ``_s1234_values``
   any range of them with two terms live.
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from itertools import accumulate, chain, cycle, islice, repeat
@@ -49,7 +51,7 @@ from operator import add, itemgetter, lshift, mul, rshift
 from .errors import DEFAULT_CEILING, DomainError, exact_quotient
 from .perms import Permutation, count_avoiders
 from .series import F_series, H_series_division, H_series_rational, _square_coefficient
-from .trees import generate_all_beta01
+from .trees import count_beta01
 
 
 def catalan(n: int) -> int:
@@ -70,17 +72,23 @@ def t_closed(n: int) -> int:
     return exact_quotient((3 * math.comb(2 * n, n)) << (n - 1), (n + 1) * (n + 2), f"t({n})")
 
 
-_t_cache = [None, 1]  # _t_cache[n] = t(n)
+_t_cache = [None, 1]  # _t_cache[n] = t(n); only appended to, under _t_lock
+_t_lock = threading.Lock()
 
 
 def t_recurrence(n: int) -> int:
-    """Evaluate t via t(n) = (8n-4)·t(n-1)/(n+2), t(1) = 1; every division exact."""
+    """Evaluate t via t(n) = (8n-4)·t(n-1)/(n+2), t(1) = 1; every division exact.
+
+    The cache grows under a lock: threads that interleave its length check
+    and its append would store a term twice and shift every later one.
+    """
     if n < 1:
         raise DomainError(f"n must be positive, got {n}")
-    while len(_t_cache) <= n:
-        m = len(_t_cache)
-        _t_cache.append(exact_quotient((8 * m - 4) * _t_cache[m - 1], m + 2,
-                                       f"t({m}) recurrence step"))
+    with _t_lock:
+        while len(_t_cache) <= n:
+            m = len(_t_cache)
+            _t_cache.append(exact_quotient((8 * m - 4) * _t_cache[m - 1], m + 2,
+                                           f"t({m}) recurrence step"))
     return _t_cache[n]
 
 
@@ -155,8 +163,10 @@ _LEVELS = {
         6),
 }
 
-# (least up_to, split): s1342_convolution takes the first split whose bound up_to meets
-_SPLITS = ((200, (3, 3, 2)), (0, ()))
+# (least up_to, split): s1342_convolution takes the first split whose bound up_to meets.
+# The empty split is one block, the direct per-n sum, which is faster below about 330
+# values (0.55 of the kernel's time at 200, 0.86 at 300, 1.05 at 350, 1.25 at 400).
+_SPLITS = ((330, (3, 3, 2)), (0, ()))
 
 # earlier values of s that ``_block_product`` takes at once, which bounds what it holds
 _CHUNK = 144
@@ -221,7 +231,7 @@ def s1342_convolution(up_to: int) -> list[int]:
 
     The I(i) = t(i-1) come from ``t_recurrence``, one checked exact division
     per new term, read up to t(up_to-1); I(i) above up_to only reaches rows
-    above up_to and is taken as 0.  From up_to = 200 on (``_SPLITS``), s is
+    above up_to and is taken as 0.  From up_to = 330 on (``_SPLITS``), s is
     built in blocks of 18 values.  What block k takes from the earlier blocks
     j is an 18×18 Toeplitz product with T[r][c] = I(18(k-j)+r-c), split as
     two transposed Toom-3 levels over one Karatsuba level (``_LEVELS``): 75
@@ -230,8 +240,9 @@ def s1342_convolution(up_to: int) -> list[int]:
     and its count of trailing zero bits, so every product multiplies the odd
     part only and shifts the rest back in.  Each block's y comes out scaled by
     36 and is divided back with ``exact_quotient``; inside a block each s(n)
-    adds its own terms I(1..17)·s directly.  Below 200 the split is empty:
-    blocks of 1, the plain per-n sum over the same odd parts and shifts.
+    adds its own terms I(1..17)·s directly.  Below 330 the split is empty:
+    one block of up_to + 1 values, so every s(n) is that direct sum over all
+    of I(1..n), and no leaf table is built.
 
     >>> s1342_convolution(6)
     [1, 1, 2, 6, 23, 103, 512]
@@ -239,17 +250,17 @@ def s1342_convolution(up_to: int) -> list[int]:
     if up_to < 0:
         raise DomainError(f"up_to must be nonnegative, got {up_to}")
     split = next(split for least, split in _SPLITS if up_to >= least)
-    size, scale = math.prod(split), math.prod(_LEVELS[f][3] for f in split)
-    blocks = up_to // size + 1
+    size = math.prod(split) if split else up_to + 1  # the empty split is one block
+    blocks, scale = up_to // size + 1, math.prod(_LEVELS[f][3] for f in split)
     indecomposable = [0, 1, *map(t_recurrence, range(1, up_to))]  # I(i + 1) = t(i)
     indecomposable += [0] * (blocks * size - len(indecomposable))
-    padded = [0] * (size - 1) + indecomposable
-    diagonals = [padded[o:o + blocks * size:size] for o in range(2 * size - 1)]
-    odd, shift = zip(*_leaf_tables(split, diagonals))
+    if split:
+        padded = [0] * (size - 1) + indecomposable
+        diagonals = [padded[o:o + blocks * size:size] for o in range(2 * size - 1)]
+        odd, shift = zip(*_leaf_tables(split, diagonals))
     out = [1]
-    for k in range(blocks):
-        n0 = k * size
-        y = _block_product(split, odd, shift, out, k)
+    for k, n0 in enumerate(range(0, up_to + 1, size)):
+        y = _block_product(split, odd, shift, out, k) if k else [0] * size
         for n in range(max(n0, 1), min(n0 + size, up_to + 1)):
             out.append(exact_quotient(y[n - n0], scale, f"s1342({n}) convolution block")
                        + sum(map(mul, indecomposable[n - n0:0:-1], out[n0:])))
@@ -413,7 +424,10 @@ def cross_check(
     """Compare every method pair for the four sequences and run the inequality checks.
 
     Closed forms, series coefficients, recurrences and convolutions run up to
-    ``up_to_closed``; brute-force oracles up to ``up_to_brute``.  Also checks
+    ``up_to_closed``; brute-force oracles up to ``up_to_brute``, and there the
+    labeled trees on n nodes, counted off ``trees.count_beta01``'s label-sum
+    tables, which build no tree.  A negative bound is refused before any
+    work.  Also checks
     s1342(n) < 8^n over the closed range and s1342(n) < s1234(n) from n = 6 on
     (by oracle on the brute range; on the closed range against one pass of
     ``s1234_recurrence``).
@@ -421,6 +435,8 @@ def cross_check(
     deliberately corrupts one value so harnesses can confirm the check is not
     vacuous.
     """
+    if up_to_brute < 0:
+        raise DomainError(f"up_to_brute must be nonnegative, got {up_to_brute}")
     if up_to_brute > brute_ceiling:
         raise DomainError(
             f"up_to_brute={up_to_brute} exceeds the brute-force ceiling {brute_ceiling}"
@@ -456,7 +472,7 @@ def cross_check(
         i_report.add(n, int(f_coeffs.coefficient(n)), "series")
     for n in range(1, up_to_brute + 1):
         i_report.add(n, count_avoiders(n, _P1342, "indecomposable", ceiling=brute_ceiling), "brute")
-        i_report.add(n, sum(1 for _ in generate_all_beta01(n, ceiling=brute_ceiling)), "trees")
+        i_report.add(n, count_beta01(n, ceiling=brute_ceiling), "trees")
     report.reports.append(i_report)
 
     c_report = SequenceReport("catalan")

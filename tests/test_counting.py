@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -26,7 +28,7 @@ from avoid1342 import (
     t_recurrence,
 )
 
-from avoid1342 import counting
+from avoid1342 import counting, trees
 from avoid1342.cli import main
 
 from oracles import (
@@ -117,9 +119,11 @@ def test_s1342_convolution(monkeypatch):
     assert values[5] == 103
     assert values[1:] == S1342_VALUES
     expected = oracle_s1342_convolution(72)
+    switch = counting._SPLITS[0][0]
     for least, split in counting._SPLITS:
         monkeypatch.setattr(counting, "_SPLITS", ((0, split),))
-        # every shape of a partial last block of 18 (or 1), over four blocks
+        # every shape of a partial last block of 18 over four blocks, and the empty
+        # split's one block of every length
         for up_to in range(73):
             assert s1342_convolution(up_to) == expected[:up_to + 1]
         # the blocked route reads t(1..up_to-1) only, though its last block reaches past up_to
@@ -128,8 +132,8 @@ def test_s1342_convolution(monkeypatch):
             s1342_convolution(up_to)
             assert len(counting._t_cache) == max(up_to, 2)
     monkeypatch.undo()
-    # either side of the switch to blocks of 18
-    for up_to in (199, 200):
+    # either side of the switch from the one block to blocks of 18
+    for up_to in (switch - 1, switch):
         assert s1342_convolution(up_to) == counting._s1342_closed_values(0, up_to)
 
 
@@ -310,6 +314,67 @@ def test_cross_check_reports_the_brute_1234_bound(monkeypatch):
 def test_cross_check_respects_brute_ceiling():
     with pytest.raises(DomainError):
         cross_check(10, 13)
+
+
+def test_cross_check_refuses_a_negative_brute_bound_before_any_work(monkeypatch):
+    def no_work(up_to):
+        raise AssertionError("cross_check ran the convolution")
+
+    monkeypatch.setattr(counting, "s1342_convolution", no_work)
+    with pytest.raises(DomainError, match="up_to_brute must be nonnegative, got -1"):
+        cross_check(5, -1)
+
+
+def test_cross_check_counts_the_trees_without_building_one(monkeypatch):
+    # the trees column reads count_beta01's label-sum tables; the stream stays
+    # checked against them in test_trees
+    def no_stream(*args, **kwargs):
+        raise AssertionError("cross_check built the trees")
+
+    assert not hasattr(counting, "generate_all_beta01")
+    monkeypatch.setattr(trees, "generate_all_beta01", no_stream)
+    report = cross_check(8, 8)
+    assert report.consistent
+    (indecomposable,) = [r for r in report.reports if r.name == "indecomposable-1342"]
+    assert [(n, v) for n, v, method in indecomposable.entries if method == "trees"] == [
+        (n, indecomposable_count(n)) for n in range(1, 9)]
+
+
+def test_cross_check_at_the_brute_ceiling_takes_seconds():
+    # building all 13.9 M trees on 12 nodes made this half a minute or more
+    start = time.perf_counter()
+    report = cross_check(50, 12)
+    elapsed = time.perf_counter() - start
+    assert report.consistent
+    assert elapsed < 5.0, f"cross_check(50, 12) took {elapsed:.2f} s"
+
+
+def test_t_cache_grows_correctly_under_threads(monkeypatch):
+    # four threads grow a cold cache at once, switching every microsecond: an
+    # unlocked check-then-append stores a term twice and shifts every later one
+    expected = [None] + [t_closed(n) for n in range(1, 401)]
+    interval = sys.getswitchinterval()
+    for trial in range(50):
+        monkeypatch.setattr(counting, "_t_cache", [None, 1])
+        caught = []
+
+        def grow():
+            try:
+                t_recurrence(400)
+            except Exception as exc:  # recorded here, raised by the assertion below
+                caught.append(exc)
+        workers = [threading.Thread(target=grow) for _ in range(4)]
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert caught == [], (trial, caught)
+        assert counting._t_cache == expected, trial
 
 
 def test_sequence_report_add_is_linear_in_the_number_of_entries():

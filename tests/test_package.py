@@ -3,6 +3,7 @@ import ast
 import importlib
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 
@@ -106,3 +107,19 @@ def test_python_dash_m_runs_the_cli_and_exits_with_its_code(argv, code, out, err
     child = subprocess.run([sys.executable, "-m", "avoid1342", *argv], capture_output=True,
                            text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert (child.returncode, child.stdout, child.stderr) == (code, out, err)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_a_reader_that_closes_the_pipe_ends_the_cli_quietly():
+    # 54 912 trees, far more than a pipe buffers: the writer meets the closed pipe
+    src = str(pathlib.Path(avoid1342.__file__).resolve().parent.parent)
+    with subprocess.Popen([sys.executable, "-m", "avoid1342", "generate", "trees", "--n", "9"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as child:
+        first = child.stdout.readline()
+        child.stdout.close()
+        code = child.wait(timeout=60)
+        err = child.stderr.read()
+    assert first.endswith(b")\n")
+    assert err == b""  # no BrokenPipeError traceback
+    assert code not in (1, 4)  # neither a discrepancy nor an internal error
