@@ -67,9 +67,9 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 #: Largest n of ``--method series`` and ``convolution`` and ``verify --suite
-#: sequences``.  The convolution and the suite's division-route series are
-#: quadratic in big integers: at 2 500 on a 2-core 2 GHz machine (Python 3.11)
-#: the convolution takes about 5-6 s and the division route about 23 s.
+#: sequences``.  The convolution and the suite's division-route series share one
+#: blocked solver, quadratic in big integers: at 2 500 on a 2-core machine (Python
+#: 3.11) each takes about 3.5-4 s CPU, and the whole suite about 15 s wall.
 #: ``--method series`` reads the linear route, 0.02 s at 2 500, and keeps the
 #: same ceiling.
 QUADRATIC_CEILING = 2500

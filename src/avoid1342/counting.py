@@ -17,15 +17,9 @@ Sequences handled here, all as exact arbitrary-precision integers:
   ``itertools.accumulate`` gives every s(0..N), which ``s1342_closed``,
   the CLI and ``cross_check`` read.  ``s1342_convolution`` builds the
   same numbers from the indecomposable counts I(i) = t(i-1) via
-  s(n) = sum_i I(i)·s(n-i) (H = 1/(1-F)) in blocks of 18 values: what a
-  block takes from the earlier ones is an 18×18 Toeplitz product, split as
-  two transposed Toom-3 levels over one Karatsuba level into 75 products in
-  place of 324.  Each level forms its children's column sums once from its
-  own; the I-combinations are scaled by 6 per Toom-3 level, so each block is
-  divided by 36 with a checked exact division.  The products multiply only
-  odd parts and shift the powers of two back in.  Below 330 values the
-  split is empty: one block, whose every s(n) is the direct per-n sum,
-  which is faster there.  Both routes read t off ``t_recurrence``, which
+  s(n) = sum_i I(i)·s(n-i) (H = 1/(1-F)), as one call to the series
+  layer's blocked solver of den·h = num, which also serves
+  ``H_series_division``.  Both routes read t off ``t_recurrence``, which
   grows its cache under a lock, so threads may share it;
 * ``s1234_closed(n)``   -- all 1234-avoiders of length n; ``s1234_recurrence``
   builds the same numbers from their P-recurrence, and ``_s1234_values``
@@ -44,13 +38,13 @@ import json
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import partial, reduce
-from itertools import accumulate, chain, cycle, islice, repeat
-from operator import add, itemgetter, lshift, mul, rshift
+from itertools import accumulate, chain, cycle, islice
+from operator import mul
 
 from .errors import DEFAULT_CEILING, DomainError, exact_quotient
 from .perms import Permutation, count_avoiders
-from .series import F_series, H_series_division, H_series_rational, _square_coefficient
+from .series import (F_series, H_series_division, H_series_rational, _solve_integers,
+                     _square_coefficient)
 from .trees import count_beta01
 
 
@@ -144,127 +138,21 @@ def s1342_closed(n: int) -> int:
     return _s1342_closed_values(n, n)[0]
 
 
-# One level of the split of a Toeplitz product y = T·x of size f·m, T[r][c] = d(r-c),
-# into products of size m.  With x_j and y_i the entries whose index is j and i mod f,
-# y_i = sum_j D_(i-j)·x_j, where D_b is the m×m Toeplitz with diagonal o -> d(o·f + b).
-# Per level: the weights of x_0..x_(f-1) in each child's columns, of D_(1-f)..D_(f-1)
-# in each child's diagonals, of the children in each y_i, and the scale of the diagonal
-# weights.  f = 2 is Karatsuba's three products, f = 3 Toom-3's five at 0, 1, -1, 2 and
-# infinity, transposed.
-_LEVELS = {
-    2: (((1, 1), (0, 1), (1, 0)),
-        ((0, 1, 0), (1, -1, 0), (0, -1, 1)),
-        ((1, 1, 0), (1, 0, 1)),
-        1),
-    3: (((0, 0, 1), (1, 1, 1), (1, -1, 1), (4, 2, 1), (1, 0, 0)),
-        ((6, -3, -6, 3, 0), (0, 6, 3, -3, 0), (0, -2, 3, -1, 0), (0, -1, 0, 1, 0),
-         (0, 12, -6, -12, 6)),
-        ((1, 1, 1, 1, 0), (0, 1, -1, 2, 0), (0, 1, 1, 4, 1)),
-        6),
-}
-
-# (least up_to, split): s1342_convolution takes the first split whose bound up_to meets.
-# The empty split is one block, the direct per-n sum, which is faster below about 330
-# values (0.55 of the kernel's time at 200, 0.86 at 300, 1.05 at 350, 1.25 at 400).
-_SPLITS = ((330, (3, 3, 2)), (0, ()))
-
-# earlier values of s that ``_block_product`` takes at once, which bounds what it holds
-_CHUNK = 144
-
-
-def _combine(weights, sequences):
-    """The elementwise sum of weight·sequence, lazily; a lone weight 1 passes its sequence on."""
-    terms = [s if w == 1 else map(mul, s, repeat(w)) for w, s in zip(weights, sequences) if w]
-    return reduce(partial(map, add), terms)
-
-
-def _leaf_tables(split, diagonals: list[list[int]]) -> list[tuple[list[int], list[int]]]:
-    """Every leaf's I-combination as (its odd parts, their shifts), in ``_block_product``'s order.
-
-    ``diagonals[o + size - 1]`` is d(o) over the pairs of blocks.  Each level
-    forms its children's diagonals from its own, scaled, and interleaves
-    their leaves, so the last level's child index varies slowest.
-    """
-    if not split:
-        (values,) = diagonals
-        shifts = [max((value & -value).bit_length() - 1, 0) for value in values]
-        return [(list(map(rshift, values, shifts)), shifts)]
-    f, rest = split[0], split[1:]
-    children = [_leaf_tables(rest, [list(_combine(weights, diagonals[q * f:q * f + 2 * f - 1]))
-                                    for q in range((len(diagonals) + 1) // f - 1)])
-                for weights in _LEVELS[f][1]]
-    return list(chain.from_iterable(zip(*children)))
-
-
-def _block_product(split, odd, shift, out: list[int], k: int) -> list[int]:
-    """scale·y for block k: the sum over the earlier blocks j of T_(k-j)·x_j.
-
-    ``out`` holds x_j[c] at j·size + c, read ``_CHUNK`` values at a time.
-    Each level splits its nodes' columns by their index mod f and forms all
-    their children's columns at once, each from its parent's.  Then one
-    C-level pass multiplies every leaf's odd parts by its columns and shifts
-    them back, summed per leaf, and the levels combine the sums into rows.
-    """
-    size, sums = math.prod(split), [0] * len(odd)
-    for j in range(0, k, _CHUNK // size):
-        count = min(_CHUNK // size, k - j)
-        columns = out[j * size:(j + count) * size]
-        for f in split:
-            columns = list(columns)
-            parts = [columns[d::f] for d in range(f)]
-            columns = chain.from_iterable(_combine(weights, parts) for weights in _LEVELS[f][0])
-        window = itemgetter(slice(k - j, k - j - count, -1))
-        products = map(lshift, map(mul, chain.from_iterable(map(window, odd)), columns),
-                       chain.from_iterable(map(window, shift)))
-        sums = list(map(add, sums, map(sum, zip(*[products] * count))))
-    for f in reversed(split):
-        column_weights, _, row_weights, _ = _LEVELS[f]
-        step = len(sums) // len(column_weights)
-        children = [sums[c:c + step] for c in range(0, len(sums), step)]
-        sums = list(chain.from_iterable(zip(*[_combine(weights, children)
-                                              for weights in row_weights])))
-    return sums
-
-
 def s1342_convolution(up_to: int) -> list[int]:
     """Values s(0..up_to) built from s(n) = sum_{i=1..n} I(i)·s(n-i), s(0) = 1.
 
-    The I(i) = t(i-1) come from ``t_recurrence``, one checked exact division
-    per new term, read up to t(up_to-1); I(i) above up_to only reaches rows
-    above up_to and is taken as 0.  From up_to = 330 on (``_SPLITS``), s is
-    built in blocks of 18 values.  What block k takes from the earlier blocks
-    j is an 18×18 Toeplitz product with T[r][c] = I(18(k-j)+r-c), split as
-    two transposed Toom-3 levels over one Karatsuba level (``_LEVELS``): 75
-    scalar products in place of 324.  Each leaf's I-combination, with the
-    Toom-3 weights scaled by 6 per level, is stored per k-j as its odd part
-    and its count of trailing zero bits, so every product multiplies the odd
-    part only and shifts the rest back in.  Each block's y comes out scaled by
-    36 and is divided back with ``exact_quotient``; inside a block each s(n)
-    adds its own terms I(1..17)·s directly.  Below 330 the split is empty:
-    one block of up_to + 1 values, so every s(n) is that direct sum over all
-    of I(1..n), and no leaf table is built.
+    H = 1/(1 - F), solved by ``series._solve_integers`` as (F - 1)·s = -1
+    with den = -1, I(1), I(2), ...: I(i) = t(i-1) comes off ``t_recurrence``
+    up to t(up_to-1), as I(i) above up_to only reaches rows above up_to.  From
+    up_to = 330 on the solver builds s in blocks of 18.
 
     >>> s1342_convolution(6)
     [1, 1, 2, 6, 23, 103, 512]
     """
     if up_to < 0:
         raise DomainError(f"up_to must be nonnegative, got {up_to}")
-    split = next(split for least, split in _SPLITS if up_to >= least)
-    size = math.prod(split) if split else up_to + 1  # the empty split is one block
-    blocks, scale = up_to // size + 1, math.prod(_LEVELS[f][3] for f in split)
-    indecomposable = [0, 1, *map(t_recurrence, range(1, up_to))]  # I(i + 1) = t(i)
-    indecomposable += [0] * (blocks * size - len(indecomposable))
-    if split:
-        padded = [0] * (size - 1) + indecomposable
-        diagonals = [padded[o:o + blocks * size:size] for o in range(2 * size - 1)]
-        odd, shift = zip(*_leaf_tables(split, diagonals))
-    out = [1]
-    for k, n0 in enumerate(range(0, up_to + 1, size)):
-        y = _block_product(split, odd, shift, out, k) if k else [0] * size
-        for n in range(max(n0, 1), min(n0 + size, up_to + 1)):
-            out.append(exact_quotient(y[n - n0], scale, f"s1342({n}) convolution block")
-                       + sum(map(mul, indecomposable[n - n0:0:-1], out[n0:])))
-    return out
+    den = [-1, 1, *map(t_recurrence, range(1, up_to))]  # den[i + 1] = I(i + 1) = t(i)
+    return _solve_integers([-1], den, up_to, "s1342({})")
 
 
 def s1234_closed(n: int) -> int:

@@ -6,11 +6,21 @@ order raises.  No floating point is used anywhere in this module.
 
 The named series are computed on integers and wrapped into ``Fraction`` once,
 at the end: (1-8x)^{3/2} by the ratio c_{n+1} = c_n·4(2n-3)/(n+1), and each
-quotient num/den by solving den·h = num one coefficient at a time.  Every
-division there is a checked exact division; a remainder raises
-``IntegralityError``.  Each coefficient of a quotient, product, reciprocal or
-square is one ``sum(map(mul, ...))`` over aligned slices, one of them
-reversed, with zero padding in place of boundary branches.
+quotient num/den by ``_solve_integers``, the one solver of den·h = num, which
+``counting.s1342_convolution`` also calls for H = 1/(1 - F).  Each h(m) is
+one checked exact division by den[0] of num(m) less the sum of den(i)·h(m-i);
+a remainder raises ``IntegralityError``.  A short den (1 term for
+``F_series``, 4 for ``H_series_rational``) keeps the sum short and the route
+linear.  Once the solver reads 330 terms of den past its lead (``_SPLITS``),
+it builds h in blocks of 18: what block k takes from the earlier blocks j is
+an 18×18 Toeplitz product, T[r][c] = den(18(k-j)+r-c), split as two
+transposed Toom-3 levels over one Karatsuba level (``_LEVELS``) into 75
+products in place of 324, each on an odd part with its power of two shifted
+back in.  The Toom-3 weights scale by 6 per level, so each block is divided
+by 36, a checked exact division.  Below 330 the split is empty: one block,
+whose every h(m) is the direct sum, faster there.  Each coefficient of a
+product, reciprocal or square, and each sum inside a block, is one
+``sum(map(mul, ...))`` over aligned sequences, one of them reversed.
 
 The two series of interest:
 
@@ -27,9 +37,12 @@ forming each coefficient of a square from half its products.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import partial, reduce
+from itertools import chain, islice, repeat
+from operator import add, itemgetter, lshift, mul, rshift
 from typing import Sequence, Union
 
 from .errors import DomainError, exact_quotient
@@ -150,18 +163,115 @@ def _plus(coeffs: list[int], low: Sequence[int]) -> list[int]:
     return [a + b for a, b in zip(coeffs, low)] + coeffs[len(low):]
 
 
-def _solve(num: Sequence[int], den: Sequence[int], order: int) -> TruncatedSeries:
-    """The series h with den·h = num up to x^order, on integers.
+# One level of the split of a Toeplitz product y = T·x of size f·m, T[r][c] = d(r-c),
+# into products of size m.  With x_j and y_i the entries whose index is j and i mod f,
+# y_i = sum_j D_(i-j)·x_j, where D_b is the m×m Toeplitz with diagonal o -> d(o·f + b).
+# Per level: the weights of x_0..x_(f-1) in each child's columns, of D_(1-f)..D_(f-1)
+# in each child's diagonals, of the children in each y_i, and the scale of the diagonal
+# weights.  f = 2 is Karatsuba's three products, f = 3 Toom-3's five at 0, 1, -1, 2 and
+# infinity, transposed.
+_LEVELS = {
+    2: (((1, 1), (0, 1), (1, 0)),
+        ((0, 1, 0), (1, -1, 0), (0, -1, 1)),
+        ((1, 1, 0), (1, 0, 1)),
+        1),
+    3: (((0, 0, 1), (1, 1, 1), (1, -1, 1), (4, 2, 1), (1, 0, 0)),
+        ((6, -3, -6, 3, 0), (0, 6, 3, -3, 0), (0, -2, 3, -1, 0), (0, -1, 0, 1, 0),
+         (0, 12, -6, -12, 6)),
+        ((1, 1, 1, 1, 0), (0, 1, -1, 2, 0), (0, 1, 1, 4, 1)),
+        6),
+}
 
-    Each coefficient is one exact division by den[0] of num[m] less den[1:]
-    against the coefficients found so far, newest first.
+# (least reach, split): the first split whose bound meets min(len(den) - 1, order), the
+# terms of den that ``_solve_integers`` reads past the lead.  The empty split is one block,
+# the direct sum, faster below about 330 (0.55 of the kernel's time at 200, 1.05 at 350).
+_SPLITS = ((330, (3, 3, 2)), (0, ()))
+
+# earlier values of h that ``_block_product`` takes at once, which bounds what it holds
+_CHUNK = 144
+
+
+def _combine(weights, sequences):
+    """The elementwise sum of weight·sequence, lazily; a lone weight 1 passes its sequence on."""
+    terms = [s if w == 1 else map(mul, s, repeat(w)) for w, s in zip(weights, sequences) if w]
+    return reduce(partial(map, add), terms)
+
+
+def _leaf_tables(split, diagonals: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """Every leaf's d-combination as (its odd parts, their shifts), in ``_block_product``'s order.
+
+    ``diagonals[o + size - 1]`` is d(o) over the pairs of blocks.  Each level
+    forms its children's diagonals from its own, scaled, and interleaves
+    their leaves, so the last level's child index varies slowest.
     """
-    lead, rest = den[0], den[1: order + 1]
+    if not split:
+        (values,) = diagonals
+        shifts = [max((value & -value).bit_length() - 1, 0) for value in values]
+        return [(list(map(rshift, values, shifts)), shifts)]
+    f, rest = split[0], split[1:]
+    children = [_leaf_tables(rest, [list(_combine(weights, diagonals[q * f:q * f + 2 * f - 1]))
+                                    for q in range((len(diagonals) + 1) // f - 1)])
+                for weights in _LEVELS[f][1]]
+    return list(chain.from_iterable(zip(*children)))
+
+
+def _block_product(split, odd, shift, out: list[int], k: int) -> list[int]:
+    """scale·y for block k: the sum over the earlier blocks j of T_(k-j)·x_j.
+
+    ``out`` holds x_j[c] at j·size + c, read ``_CHUNK`` values at a time.
+    Each level splits its nodes' columns by their index mod f and forms all
+    their children's columns at once, each from its parent's.  Then one
+    C-level pass multiplies every leaf's odd parts by its columns and shifts
+    them back, summed per leaf, and the levels combine the sums into rows.
+    """
+    size, sums = math.prod(split), [0] * len(odd)
+    for j in range(0, k, _CHUNK // size):
+        count = min(_CHUNK // size, k - j)
+        columns = out[j * size:(j + count) * size]
+        for f in split:
+            columns = list(columns)
+            parts = [columns[d::f] for d in range(f)]
+            columns = chain.from_iterable(_combine(weights, parts) for weights in _LEVELS[f][0])
+        window = itemgetter(slice(k - j, k - j - count, -1))
+        products = map(lshift, map(mul, chain.from_iterable(map(window, odd)), columns),
+                       chain.from_iterable(map(window, shift)))
+        sums = list(map(add, sums, map(sum, zip(*[products] * count))))
+    for f in reversed(split):
+        column_weights, _, row_weights, _ = _LEVELS[f]
+        step = len(sums) // len(column_weights)
+        children = [sums[c:c + step] for c in range(0, len(sums), step)]
+        sums = list(chain.from_iterable(zip(*[_combine(weights, children)
+                                              for weights in row_weights])))
+    return sums
+
+
+def _solve_integers(num: Sequence[int], den: Sequence[int], order: int,
+                    context: str = "coefficient x^{}") -> list[int]:
+    """Integers h(0..order) with den·h = num, den known in full; context.format(m) names h(m)."""
+    split = next(split for least, split in _SPLITS if min(len(den) - 1, order) >= least)
+    size = math.prod(split) if split else order + 1  # the empty split is one block
+    blocks, scale = order // size + 1, math.prod(_LEVELS[f][3] for f in split)
+    rest = den[1:size]  # the terms inside one block
+    if split:  # den(i) above order only reaches rows above order
+        padded = [0] * (size - 1) + den[:order + 1]
+        padded += [0] * (blocks * size + size - 1 - len(padded))
+        odd, shift = zip(*_leaf_tables(split, [padded[o:o + blocks * size:size]
+                                               for o in range(2 * size - 1)]))
     h: list[int] = []
-    for m in range(order + 1):
-        acc = (num[m] if m < len(num) else 0) - sum(map(mul, rest, h[:-len(rest) - 1:-1]))
-        h.append(exact_quotient(acc, lead, f"coefficient x^{m}"))
-    return TruncatedSeries(tuple(map(Fraction, h)))
+    for k, n0 in enumerate(range(0, order + 1, size)):
+        y = [0] * size if not k else [
+            exact_quotient(value, scale, f"{context.format(m)} convolution block")
+            for m, value in enumerate(_block_product(split, odd, shift, h, k), n0)]
+        for m in range(n0, min(n0 + size, order + 1)):
+            acc = ((num[m] if m < len(num) else 0) - y[m - n0]
+                   - sum(map(mul, rest, islice(reversed(h), m - n0))))
+            h.append(exact_quotient(acc, den[0], context.format(m)))
+    return h
+
+
+def _solve(num: Sequence[int], den: Sequence[int], order: int) -> TruncatedSeries:
+    """The series h with den·h = num up to x^order, by ``_solve_integers``."""
+    return TruncatedSeries(tuple(map(Fraction, _solve_integers(num, den, order))))
 
 
 def one_minus_8x_pow_3_2(order: int) -> TruncatedSeries:

@@ -28,7 +28,7 @@ from avoid1342 import (
     t_recurrence,
 )
 
-from avoid1342 import counting, trees
+from avoid1342 import counting, series, trees
 from avoid1342.cli import main
 
 from oracles import (
@@ -119,9 +119,9 @@ def test_s1342_convolution(monkeypatch):
     assert values[5] == 103
     assert values[1:] == S1342_VALUES
     expected = oracle_s1342_convolution(72)
-    switch = counting._SPLITS[0][0]
-    for least, split in counting._SPLITS:
-        monkeypatch.setattr(counting, "_SPLITS", ((0, split),))
+    switch = series._SPLITS[0][0]
+    for least, split in series._SPLITS:
+        monkeypatch.setattr(series, "_SPLITS", ((0, split),))
         # every shape of a partial last block of 18 over four blocks, and the empty
         # split's one block of every length
         for up_to in range(73):
@@ -137,7 +137,7 @@ def test_s1342_convolution(monkeypatch):
         assert s1342_convolution(up_to) == counting._s1342_closed_values(0, up_to)
 
 
-SPLITS = sorted({split for _, split in counting._SPLITS} | {(2,), (3,), (2, 3), (3, 2)})
+SPLITS = sorted({split for _, split in series._SPLITS} | {(2,), (3,), (2, 3), (3, 2)})
 
 
 @pytest.mark.parametrize("split", SPLITS, ids=lambda split: "x".join(map(str, split)) or "1")
@@ -146,9 +146,9 @@ def test_block_product_is_the_scaled_toeplitz_product(monkeypatch, split, chunk)
     # the kernel alone, on signed integers with trailing zeros: scale times
     # sum_j T_(k-j)·x_j with T_e[r][c] = d_e(r - c), which pins the weights of _LEVELS
     size = math.prod(split)
-    scale = math.prod(counting._LEVELS[f][3] for f in split)
+    scale = math.prod(series._LEVELS[f][3] for f in split)
     if chunk == "one block":
-        monkeypatch.setattr(counting, "_CHUNK", size)
+        monkeypatch.setattr(series, "_CHUNK", size)
     rng = random.Random(2900 + size)
 
     def draw():
@@ -157,25 +157,28 @@ def test_block_product_is_the_scaled_toeplitz_product(monkeypatch, split, chunk)
         # d[e][o + size - 1] = d_e(o) for k - j = e in 1..k; e = 0 is never read
         d = [[0] * (2 * size - 1)] + [[draw() for _ in range(2 * size - 1)] for _ in range(k)]
         x = [draw() for _ in range(k * size)]  # x_j[c] at j·size + c
-        odd, shift = zip(*counting._leaf_tables(split, [list(diagonal) for diagonal in zip(*d)]))
-        assert counting._block_product(split, odd, shift, x, k) == [
+        odd, shift = zip(*series._leaf_tables(split, [list(diagonal) for diagonal in zip(*d)]))
+        assert series._block_product(split, odd, shift, x, k) == [
             scale * sum(d[k - j][r - c + size - 1] * x[j * size + c]
                         for j in range(k) for c in range(size))
             for r in range(size)]
 
 
 def test_a_nudged_leaf_fails_the_block_division(monkeypatch, capsys):
-    monkeypatch.setattr(counting, "_SPLITS", ((0, (3, 3, 2)),))
-    leaf_tables = counting._leaf_tables
+    monkeypatch.setattr(series, "_SPLITS", ((0, (3, 3, 2)),))
+    leaf_tables = series._leaf_tables
 
     def nudged(split, diagonals):
         leaves = leaf_tables(split, diagonals)
         if split == (3, 3, 2):  # the outermost call: one leaf's odd part at k - j = 1
             leaves[0][0][1] += 1
         return leaves
-    monkeypatch.setattr(counting, "_leaf_tables", nudged)
+    monkeypatch.setattr(series, "_leaf_tables", nudged)
     with pytest.raises(IntegralityError, match="convolution block"):
         s1342_convolution(40)
+    # the division route solves on the same blocks
+    with pytest.raises(IntegralityError, match="convolution block"):
+        series.H_series_division(400)
     code = main(["count", "--pattern", "1342", "--n", "40", "--method", "convolution"])
     out, err = capsys.readouterr()
     assert (code, out) == (4, "")

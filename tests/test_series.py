@@ -249,6 +249,30 @@ def test_solver_refuses_an_inexact_division():
         series._solve([1], [2], 0)
     with pytest.raises(IntegralityError):
         series._solve([2, 1], [2, 6, 6, 2], 1)
+    # a den of 331 terms takes the blocks: h = 1, 0, ..., 0, -1 divides exactly,
+    # and -1/2 at x^330 does not
+    blocked = [2, *[0] * 329]
+    assert series._solve([2], blocked + [2], 330).coeffs == (1, *[0] * 329, -1)
+    with pytest.raises(IntegralityError, match=r"x\^330 is not an exact division by 2"):
+        series._solve([2], blocked + [1], 330)
+
+
+def test_only_a_long_denominator_takes_the_blocks(monkeypatch):
+    switch = series._SPLITS[0][0]
+
+    def refuse(split, diagonals):
+        raise AssertionError("a leaf table was built")
+    monkeypatch.setattr(series, "_leaf_tables", refuse)
+    # den lengths 1 and 4 keep the direct sum, so these routes stay linear
+    assert F_series(2000).order == H_series_rational(2000).order == 2000
+    # the division route either side of the switch from one block to blocks of 18
+    assert [int(c) for c in H_series_division(switch - 1).coeffs] == \
+        counting._s1342_closed_values(0, switch - 1)
+    with pytest.raises(AssertionError, match="leaf table"):
+        H_series_division(switch)
+    monkeypatch.undo()
+    assert [int(c) for c in H_series_division(switch).coeffs] == \
+        counting._s1342_closed_values(0, switch)
 
 
 # ---------------------------------------------------------------- error contract
