@@ -34,7 +34,6 @@ force included up to its own bound) and reports disagreements as data.
 """
 from __future__ import annotations
 
-import json
 import math
 import threading
 from dataclasses import dataclass, field
@@ -245,6 +244,7 @@ class SequenceReport:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.entries, self.discrepancies = list(self.entries), list(self.discrepancies)
         for position, (n, _, _) in enumerate(self.entries):
             self._by_n.setdefault(n, []).append(position)
 
@@ -294,6 +294,7 @@ class CrossCheckReport:
         }
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_json_dict(), indent=2)
 
 

@@ -7,11 +7,12 @@ is order-isomorphic to ``q``, and avoids it otherwise.
 
 All functions here are pure and all values immutable, so everything may be
 shared freely across threads.  ``iter_avoiders`` streams by a prefix walk and
-``count_avoiders`` counts prefix states one length at a time, so the stream
-and the count are two independent routes.  In both, the pattern, the
-selection and ``first_entry`` prune prefixes, so no finished permutation is
-filtered, and n above ``ceiling`` (default ``errors.DEFAULT_CEILING``) is
-refused by ``errors.refuse_above``.
+``count_avoiders`` counts prefix states one length at a time.  Past the
+argument checks they share only ``_order``, so a slip there could pass both;
+``tests/oracles.py::oracle_avoiders``, a full scan, shares no code with them.
+In both, the pattern, the selection and ``first_entry`` prune prefixes, so
+no finished permutation is filtered, and n above ``ceiling`` (default
+``errors.DEFAULT_CEILING``) is refused by ``errors.refuse_above``.
 
 Neither the walk nor ``contains`` searches for the pattern, and neither
 does the count.  Each carries the occurrences of the prefixes q[:j] of the
@@ -120,7 +121,8 @@ class ClassSignature(Frozen):
     __slots__ = __match_args__ = ("minima",)
     minima: tuple[tuple[int, int], ...]
 
-    def __init__(self, minima: tuple[tuple[int, int], ...]):
+    def __init__(self, minima: Iterable[tuple[int, int]]):
+        minima = tuple(map(tuple, minima))
         if minima:
             positions = [pos for pos, _ in minima]
             values = [val for _, val in minima]
@@ -219,7 +221,7 @@ def left_to_right_minima(p: Permutation) -> ClassSignature:
         if current is None or v < current:
             out.append((i, v))
             current = v
-    return ClassSignature(tuple(out))
+    return ClassSignature(out)
 
 
 def same_class(p: Permutation, q: Permutation) -> bool:

@@ -2,10 +2,11 @@
 
 A :class:`TruncatedSeries` knows its coefficients for x^0..x^order and nothing
 beyond; binary operations truncate to the smaller order, and reading past the
-order raises.  No floating point is used anywhere in this module.
+order raises.  Its constructor alone settles the stored form: from any
+iterable it keeps a tuple of ``Fraction``s.  No floating point is used here.
 
-The named series are computed on integers and wrapped into ``Fraction`` once,
-at the end: (1-8x)^{3/2} by the ratio c_{n+1} = c_n·4(2n-3)/(n+1), and each
+The named series are computed on integers, and the constructor takes them as
+they are: (1-8x)^{3/2} by the ratio c_{n+1} = c_n·4(2n-3)/(n+1), and each
 quotient num/den by ``_solve_integers``, the one solver of den·h = num, which
 ``counting.s1342_convolution`` also calls for H = 1/(1 - F).  Each h(m) is
 one checked exact division by den[0] of num(m) less the sum of den(i)·h(m-i);
@@ -42,8 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, islice, repeat
-from operator import add, itemgetter, lshift, mul, rshift
-from typing import Sequence, Union
+from operator import add, itemgetter, lshift, mul, neg, rshift
+from typing import Iterable, Sequence, Union
 
 from .errors import DomainError, exact_quotient
 
@@ -55,25 +56,23 @@ Scalar = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Coefficients for x^0..x^order, exact rationals, immutable."""
+    """Coefficients for x^0..x^order from any iterable, kept as a tuple of ``Fraction``s."""
 
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(map(Fraction, self.coeffs)))
         if not self.coeffs:
             raise DomainError("a truncated series needs at least the x^0 coefficient")
 
     @classmethod
-    def from_coefficients(cls, values: Sequence[Scalar], order: int | None = None) -> "TruncatedSeries":
+    def from_coefficients(cls, values: Iterable[Scalar], order: int | None = None) -> "TruncatedSeries":
         """Build from leading coefficients, zero-padded up to ``order`` if given."""
-        coeffs = [Fraction(v) for v in values]
         if order is not None:
             if order < 0:
                 raise DomainError(f"order must be nonnegative, got {order}")
-            if len(coeffs) > order + 1:
-                coeffs = coeffs[: order + 1]
-            coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        return cls(tuple(coeffs))
+            values = islice(chain(values, repeat(0)), order + 1)
+        return cls(values)
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "TruncatedSeries":
@@ -95,25 +94,23 @@ class TruncatedSeries:
         return TruncatedSeries.from_coefficients(self.coeffs, order)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        k = min(self.order, other.order)
-        return TruncatedSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs[: k + 1])))
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
+        return TruncatedSeries(map(add, self.coeffs, other.coeffs))  # to the smaller order
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         return self + -other
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(-a for a in self.coeffs))
+        return TruncatedSeries(map(neg, self.coeffs))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        # Cauchy product truncated at the smaller order
-        a, b = self.coeffs, other.coeffs
-        return TruncatedSeries(tuple(sum(map(mul, a[:m + 1], b[m::-1]))
-                                     for m in range(min(len(a), len(b)))))
-
-    def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        # Cauchy product truncated at the smaller order
+        a, b = self.coeffs, other.coeffs
+        return TruncatedSeries(sum(map(mul, a[:m + 1], b[m::-1]))
+                               for m in range(min(len(a), len(b))))
 
     def __str__(self) -> str:
         # one coefficient per line: "n: value" (a Fraction prints an integer plainly)
@@ -123,7 +120,7 @@ class TruncatedSeries:
 def scale(series: TruncatedSeries, factor: Scalar) -> TruncatedSeries:
     """Multiply every coefficient by an exact scalar."""
     f = Fraction(factor)
-    return TruncatedSeries(tuple(c * f for c in series.coeffs))
+    return TruncatedSeries(c * f for c in series.coeffs)
 
 
 def reciprocal(series: TruncatedSeries) -> TruncatedSeries:
@@ -131,10 +128,10 @@ def reciprocal(series: TruncatedSeries) -> TruncatedSeries:
     a = series.coeffs
     if a[0] == 0:
         raise DomainError("series with zero constant term has no reciprocal", index=0)
-    out = [Fraction(1) / a[0]]
+    out = [1 / a[0]]
     for m in range(1, len(a)):
         out.append(-sum(map(mul, a[1:m + 1], out[::-1])) / a[0])
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(out)
 
 
 def shift_divide(series: TruncatedSeries, k: int) -> TruncatedSeries:
@@ -269,11 +266,6 @@ def _solve_integers(num: Sequence[int], den: Sequence[int], order: int,
     return h
 
 
-def _solve(num: Sequence[int], den: Sequence[int], order: int) -> TruncatedSeries:
-    """The series h with den·h = num up to x^order, by ``_solve_integers``."""
-    return TruncatedSeries(tuple(map(Fraction, _solve_integers(num, den, order))))
-
-
 def one_minus_8x_pow_3_2(order: int) -> TruncatedSeries:
     """(1-8x)^{3/2}: coefficients 1, -12, then 3*2^{n+2} (2n-4)!/(n! (n-2)!) for n >= 2.
 
@@ -283,7 +275,7 @@ def one_minus_8x_pow_3_2(order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    return TruncatedSeries(tuple(map(Fraction, _sqrt_cubed(order))))
+    return TruncatedSeries(_sqrt_cubed(order))
 
 
 def F_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -294,7 +286,7 @@ def F_series(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     if order < 1:
         raise DomainError(f"order must be at least 1, got {order}")
     numerator = _plus(_sqrt_cubed(order + 1), (-1, 12, 8))
-    return _solve(numerator[1:], [32], order)
+    return TruncatedSeries(_solve_integers(numerator[1:], [32], order))
 
 
 def H_series_division(order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -306,7 +298,7 @@ def H_series_division(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
     denominator = _plus([-c for c in _sqrt_cubed(order + 1)], (1, 20, -8))
-    return _solve([32], denominator[1:], order)
+    return TruncatedSeries(_solve_integers([32], denominator[1:], order))
 
 
 def H_series_rational(order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -318,7 +310,7 @@ def H_series_rational(order: int = DEFAULT_ORDER) -> TruncatedSeries:
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
     numerator = _plus(_sqrt_cubed(order), (1, 20, -8))
-    return _solve(numerator, [2, 6, 6, 2], order)
+    return TruncatedSeries(_solve_integers(numerator, [2, 6, 6, 2], order))
 
 
 def _square_coefficient(c: Sequence[Scalar], m: int) -> Scalar:

@@ -381,6 +381,10 @@ def test_values_past_the_default_digit_limit(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert json.loads(out)["values"] == [{"n": 1, "value": text}, {"n": 2, "value": text}]
     assert sys.get_int_max_str_digits() == limit
+    # an option past the cap is refused as unreadable, not read with the cap lifted
+    with pytest.raises(SystemExit) as refused:
+        main(["count", "--pattern", "1342", "--n", "1" * 5000, "--method", "closed"])
+    assert refused.value.code == 2 and "invalid int value" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- map

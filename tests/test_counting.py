@@ -391,21 +391,23 @@ def test_sequence_report_add_is_linear_in_the_number_of_entries():
 
 
 def test_sequence_report_lists_discrepancies_in_entry_order():
-    def build():
-        report = SequenceReport("s", [(1, 1, "a")])
+    def build(first):
+        report = SequenceReport("s", first)
         for n, value, method in [(2, 2, "a"), (1, 1, "b"), (2, 3, "b"), (1, 5, "c"),
                                  (2, 2, "c"), (3, 7, "a"), (1, 1, "d")]:
             report.add(n, value, method)
         return report
 
-    report = build()
-    assert report.discrepancies == [(2, "a", "b"), (1, "a", "c"), (1, "b", "c"),
-                                    (2, "b", "c"), (1, "c", "d")]
-    assert report.entries[0] == (1, 1, "a") and len(report.entries) == 8
-    assert report == build()
-    assert repr(report) == (f"SequenceReport(name='s', entries={report.entries!r}, "
-                            f"discrepancies={report.discrepancies!r})")
-    assert report != SequenceReport("s", list(report.entries), [])
+    # the first entries as a list or a tuple: the report keeps a list of its own
+    for first in ([(1, 1, "a")], ((1, 1, "a"),)):
+        report = build(first)
+        assert report.discrepancies == [(2, "a", "b"), (1, "a", "c"), (1, "b", "c"),
+                                        (2, "b", "c"), (1, "c", "d")]
+        assert report.entries[0] == (1, 1, "a") and len(report.entries) == 8
+        assert report == build(first) and len(first) == 1
+        assert repr(report) == (f"SequenceReport(name='s', entries={report.entries!r}, "
+                                f"discrepancies={report.discrepancies!r})")
+        assert report != SequenceReport("s", list(report.entries), [])
 
 
 def test_report_json_schema():

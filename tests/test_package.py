@@ -72,6 +72,8 @@ LIGHT_COMMANDS = [
     ["generate", "avoiders", "--pattern", "1342", "--n", "5", "--indecomposable",
      "--count-only"],
 ]
+#: Run last: it loads the counting layers, but no ``json``.
+CLOSED_COUNT = ["count", "--pattern", "1342", "--n", "5", "--method", "closed"]
 _CHILD = """
 bare = set(sys.modules)
 import avoid1342
@@ -87,13 +89,15 @@ print(repr(found))
 def test_light_commands_load_no_heavy_layer():
     src = str(pathlib.Path(avoid1342.__file__).resolve().parent.parent)
     script = (f"import sys\nsys.path.insert(0, {src!r})\n"
-              f"COMMANDS = {LIGHT_COMMANDS!r}\nHEAVY = {HEAVY!r}\n{_CHILD}")
+              f"COMMANDS = {[*LIGHT_COMMANDS, CLOSED_COUNT]!r}\nHEAVY = {HEAVY!r}\n{_CHILD}")
     child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                            timeout=60)
     assert child.returncode == 0, child.stderr
     lines = child.stdout.splitlines()
-    assert lines[:4] == ["32415", "103", "56", "56"]
+    assert lines[:5] == ["32415", "103", "56", "56", "103"]
     found = ast.literal_eval(lines[-1])
+    closed = found.pop(" ".join(CLOSED_COUNT))
+    assert closed[0] == 0 and "avoid1342.counting" in closed and "json" not in closed
     assert found == {"import": [], **{" ".join(argv): [0] for argv in LIGHT_COMMANDS}}
 
 

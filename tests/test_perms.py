@@ -68,6 +68,7 @@ def test_stores_a_tuple():
     p = Permutation([3, 1, 2])
     assert p.values == (3, 1, 2) and p == Permutation((3, 1, 2))
     assert hash(p) == hash(Permutation((3, 1, 2)))
+    assert list(p) == [3, 1, 2]
 
 
 def test_text_roundtrip_both_forms():
@@ -188,6 +189,8 @@ def test_count_occurrences_examples():
     assert count_occurrences(P("132"), P("132")) == 1
     assert count_occurrences(P("12345"), P("1234")) == 5
     assert count_occurrences(P("1432"), P("132")) == 3
+    with pytest.raises(DomainError, match="pattern must be nonempty"):
+        count_occurrences(P("123"), Permutation(()))
 
 
 def test_count_occurrences_matches_subset_scan(all_perms_by_n):
@@ -221,6 +224,10 @@ def test_signature_invariants_enforced():
         ClassSignature(((2, 5),))  # must start at position 1
     with pytest.raises(InvalidPermutationError):
         ClassSignature(((1, 2), (2, 3)))  # values must decrease
+    with pytest.raises(InvalidPermutationError, match="positions must strictly increase"):
+        ClassSignature(((1, 3), (1, 2)))
+    signature = ClassSignature(((1, 3), (3, 1)))
+    assert (signature.positions, signature.values) == ((1, 3), (3, 1))
 
 
 def test_same_class_examples():

@@ -79,6 +79,21 @@ def test_truncation_to_smaller_operand():
     assert (a * b).order == 1
 
 
+def test_the_constructor_stores_a_tuple_of_fractions():
+    built = [TruncatedSeries([1, 2]), TruncatedSeries((1, 2)),
+             TruncatedSeries(iter([Fraction(1), 2])), series_from([1, 2, 3], order=1)]
+    for s in built:
+        assert type(s.coeffs) is tuple and list(map(type, s.coeffs)) == [Fraction, Fraction]
+        assert s.coeffs == (1, 2) and s == built[0] and hash(s) == hash(((1, 2),))
+    assert built[0] != (1, 2) and built[0].__eq__((1, 2)) is NotImplemented
+
+
+@pytest.mark.parametrize("operation", [operator.add, operator.sub, operator.mul])
+def test_a_non_series_operand_is_a_type_error(operation):
+    with pytest.raises(TypeError, match="unsupported operand"):
+        operation(series_from([1, 2]), 1)
+
+
 def test_coefficient_read_beyond_order_refused():
     s = series_from([1, 2, 3])
     assert s.coefficient(2) == 3
@@ -244,17 +259,17 @@ def test_H_division_text_is_pinned():
 
 
 def test_solver_refuses_an_inexact_division():
-    assert series._solve([4, 2], [2, -1], 1).coeffs == (2, 2)
+    assert series._solve_integers([4, 2], [2, -1], 1) == [2, 2]
     with pytest.raises(IntegralityError):
-        series._solve([1], [2], 0)
+        series._solve_integers([1], [2], 0)
     with pytest.raises(IntegralityError):
-        series._solve([2, 1], [2, 6, 6, 2], 1)
+        series._solve_integers([2, 1], [2, 6, 6, 2], 1)
     # a den of 331 terms takes the blocks: h = 1, 0, ..., 0, -1 divides exactly,
     # and -1/2 at x^330 does not
     blocked = [2, *[0] * 329]
-    assert series._solve([2], blocked + [2], 330).coeffs == (1, *[0] * 329, -1)
+    assert series._solve_integers([2], blocked + [2], 330) == [1, *[0] * 329, -1]
     with pytest.raises(IntegralityError, match=r"x\^330 is not an exact division by 2"):
-        series._solve([2], blocked + [1], 330)
+        series._solve_integers([2], blocked + [1], 330)
 
 
 def test_only_a_long_denominator_takes_the_blocks(monkeypatch):

@@ -236,6 +236,8 @@ def test_single_path_tree_count_is_catalan():
     for n in range(1, 11):
         labelings = iter_valid_labelings(path_shape(n))
         assert sum(1 for _ in labelings) == catalan(n - 1)
+    with pytest.raises(InvalidTreeError, match="at least one node"):
+        path_shape(0)
 
 
 def test_parse_rejects_whitespace_variants():

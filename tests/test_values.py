@@ -17,6 +17,8 @@ CASES = [
      {"values": (3, 1, 2)}),
     (ClassSignature(((1, 3), (2, 1))), "ClassSignature(minima=((1, 3), (2, 1)))",
      hash((((1, 3), (2, 1)),)), {"minima": ((1, 3), (2, 1))}),
+    (ClassSignature([(1, 3), (3, 1)]), "ClassSignature(minima=((1, 3), (3, 1)))",
+     hash((((1, 3), (3, 1)),)), {"minima": ((1, 3), (3, 1))}),
     (ShapeFlags(True, False), "ShapeFlags(single_path=True, all_zero_labels=False)",
      hash((True, False)), {"single_path": True, "all_zero_labels": False}),
     (TREE, "parse('1(0 1(0))')", hash(((0, 0), (0, 0), (1, 1), (1, 2))),
@@ -24,7 +26,8 @@ CASES = [
     (PATH, f"parse({serialize(PATH)!r})", hash(((0, 0),) + ((0, 1),) * 1999),
      {"label": 0, "children": PATH.children}),
 ]
-IDS = [type(case[0]).__name__ for case in CASES[:-1]] + ["LabeledPlaneTree-path2000"]
+IDS = ["Permutation", "ClassSignature", "ClassSignature-from-list", "ShapeFlags",
+       "LabeledPlaneTree", "LabeledPlaneTree-path2000"]
 
 
 @pytest.mark.parametrize("value,text,hashed,fields", CASES, ids=IDS)
