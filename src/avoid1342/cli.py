@@ -45,6 +45,7 @@ counts and suites load ``counting`` and ``series`` (which load ``perms`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import signal
 import sys
 
@@ -286,6 +287,7 @@ def _cmd_normalize(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built once per process: building takes most of a short in-process call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="avoid1342",

@@ -316,13 +316,14 @@ def cross_check(
     ``up_to_closed``; brute-force oracles up to ``up_to_brute``, and there the
     labeled trees on n nodes, counted off ``trees.count_beta01``'s label-sum
     tables, which build no tree.  A negative bound is refused before any
-    work.  Also checks
-    s1342(n) < 8^n over the closed range and s1342(n) < s1234(n) from n = 6 on
-    (by oracle on the brute range; on the closed range against one pass of
-    ``s1234_recurrence``).
-    Disagreements are reported as data, not raised.  ``inject_error``
-    deliberately corrupts one value so harnesses can confirm the check is not
-    vacuous.
+    work.  Each route is a list of values by n; one table row per sequence
+    names its first n and its routes on each range, and one loop fills every
+    ``SequenceReport`` n by n in its row's order.  Also checks s1342(n) < 8^n
+    over the closed range and s1342(n) < s1234(n) from n = 6 on (by oracle on
+    the brute range; on the closed range against one pass of
+    ``s1234_recurrence``).  Disagreements are reported as data, not raised.
+    ``inject_error`` corrupts the closed s1342(min(3, ``up_to_closed``)), so
+    harnesses can confirm the check is not vacuous.
     """
     if up_to_brute < 0:
         raise DomainError(f"up_to_brute must be nonnegative, got {up_to_brute}")
@@ -330,50 +331,44 @@ def cross_check(
         raise DomainError(
             f"up_to_brute={up_to_brute} exceeds the brute-force ceiling {brute_ceiling}"
         )
-    report = CrossCheckReport()
-
-    s_report = SequenceReport("s1342")
     convolution = s1342_convolution(up_to_closed)  # refuses a negative up_to_closed
     closed = _s1342_closed_values(0, up_to_closed)
-    h_div = H_series_division(up_to_closed) if up_to_closed >= 1 else None
-    h_rat = H_series_rational(up_to_closed) if up_to_closed >= 1 else None
-    for n in range(1, up_to_closed + 1):
-        reported = closed[n] + 1 if inject_error and n == min(3, up_to_closed) else closed[n]
-        s_report.add(n, reported, "closed")
-        s_report.add(n, int(h_div.coefficient(n)), "series-division")
-        s_report.add(n, int(h_rat.coefficient(n)), "series-rational")
-        s_report.add(n, convolution[n], "convolution")
-    brute = {n: count_avoiders(n, _P1342, ceiling=brute_ceiling) for n in range(1, up_to_brute + 1)}
-    for n, value in brute.items():
-        s_report.add(n, value, "brute")
-    report.reports.append(s_report)
+    reported = closed.copy()
+    reported[min(3, up_to_closed)] += bool(inject_error)
+    squares = [1]  # the Catalan numbers by C(n+1) = [x^n] C(x)^2
+    for n in range(up_to_closed):
+        squares.append(_square_coefficient(squares, n))
+    closed_ns, brute_ns = range(1, up_to_closed + 1), range(1, up_to_brute + 1)
 
-    t_report = SequenceReport("t")
-    for n in range(1, up_to_closed + 1):
-        t_report.add(n, t_closed(n), "closed")
-        t_report.add(n, t_recurrence(n), "recurrence")
-    report.reports.append(t_report)
+    def brute(count, *args):  # values by n over the brute range; index 0 is never read
+        return [0, *(count(n, *args, ceiling=brute_ceiling) for n in brute_ns)]
 
-    i_report = SequenceReport("indecomposable-1342")
-    f_coeffs = F_series(up_to_closed) if up_to_closed >= 1 else None
-    for n in range(1, up_to_closed + 1):
-        i_report.add(n, indecomposable_count(n), "shifted-closed")
-        i_report.add(n, int(f_coeffs.coefficient(n)), "series")
-    for n in range(1, up_to_brute + 1):
-        i_report.add(n, count_avoiders(n, _P1342, "indecomposable", ceiling=brute_ceiling), "brute")
-        i_report.add(n, count_beta01(n, ceiling=brute_ceiling), "trees")
-    report.reports.append(i_report)
-
-    c_report = SequenceReport("catalan")
-    recurrence = [1]
-    for n in range(0, up_to_closed + 1):
-        c_report.add(n, catalan(n), "binomial")
-        if n > 0:
-            recurrence.append(_square_coefficient(recurrence, n - 1))
-        c_report.add(n, recurrence[n], "recurrence")
-    for n in range(1, up_to_brute + 1):
-        c_report.add(n, count_avoiders(n, _P132, ceiling=brute_ceiling), "brute-132")
-    report.reports.append(c_report)
+    brute_1342 = brute(count_avoiders, _P1342)
+    # (name, first n, closed-range routes, brute-range routes); a route is (method, values by n)
+    table = (
+        ("s1342", 1, (("closed", reported),
+                      ("series-division", [*map(int, H_series_division(up_to_closed).coeffs)]),
+                      ("series-rational", [*map(int, H_series_rational(up_to_closed).coeffs)]),
+                      ("convolution", convolution)), (("brute", brute_1342),)),
+        ("t", 1, (("closed", [0, *map(t_closed, closed_ns)]),
+                  ("recurrence", [0, *map(t_recurrence, closed_ns)])), ()),
+        ("indecomposable-1342", 1,
+         (("shifted-closed", [0, *map(indecomposable_count, closed_ns)]),
+          ("series", [*map(int, F_series(max(up_to_closed, 1)).coeffs)])),  # F refuses order 0
+         (("brute", brute(count_avoiders, _P1342, "indecomposable")),
+          ("trees", brute(count_beta01)))),
+        ("catalan", 0, (("binomial", [*map(catalan, range(up_to_closed + 1))]),
+                        ("recurrence", squares)), (("brute-132", brute(count_avoiders, _P132)),)),
+    )
+    report = CrossCheckReport()
+    for name, first, closed_routes, brute_routes in table:
+        sequence = SequenceReport(name)
+        for ns, routes in ((range(first, up_to_closed + 1), closed_routes),
+                           (brute_ns, brute_routes)):
+            for n in ns:
+                for method, values in routes:
+                    sequence.add(n, values[n], method)
+        report.reports.append(sequence)
 
     for n, value in enumerate(closed[1:], start=1):
         if not value < 8 ** n:
@@ -383,7 +378,7 @@ def cross_check(
         if not closed[n] < s1234[n]:
             report.bound_violations.append(f"s1342({n}) >= s1234({n}) [closed]")
     for n in range(6, up_to_brute + 1):
-        if not brute[n] < count_avoiders(n, _P1234, ceiling=brute_ceiling):
+        if not brute_1342[n] < count_avoiders(n, _P1234, ceiling=brute_ceiling):
             report.bound_violations.append(f"s1342({n}) >= s1234({n}) [brute]")
 
     return report

@@ -115,23 +115,27 @@ class ClassSignature(Frozen):
     """The left-to-right minima of a permutation: ((position, value), ...), 1-based.
 
     Two permutations of the same length are in the same class exactly when
-    their signatures are equal.
+    their signatures are equal.  An entry that is not a pair, or a field that
+    is not an ``int`` (a ``bool`` or a ``float`` included), is refused.
     """
 
     __slots__ = __match_args__ = ("minima",)
     minima: tuple[tuple[int, int], ...]
 
     def __init__(self, minima: Iterable[tuple[int, int]]):
-        minima = tuple(map(tuple, minima))
-        if minima:
-            positions = [pos for pos, _ in minima]
-            values = [val for _, val in minima]
-            if positions[0] != 1:
-                raise InvalidPermutationError("first left-to-right minimum must sit at position 1")
-            if positions != sorted(positions) or len(set(positions)) != len(positions):
-                raise InvalidPermutationError("minima positions must strictly increase")
-            if values != sorted(values, reverse=True) or len(set(values)) != len(values):
-                raise InvalidPermutationError("minima values must strictly decrease")
+        try:
+            minima = tuple((pos, val) for pos, val in minima)
+        except (TypeError, ValueError):  # an entry that does not unpack into two fields
+            raise InvalidPermutationError("each minimum must be a (position, value) pair") from None
+        positions, values = [pos for pos, _ in minima], [val for _, val in minima]
+        if not {int}.issuperset(map(type, positions + values)):  # before any comparison
+            raise InvalidPermutationError(f"minima fields must be ints: {minima!r}")
+        if minima and positions[0] != 1:
+            raise InvalidPermutationError("first left-to-right minimum must sit at position 1")
+        if positions != sorted(positions) or len(set(positions)) != len(positions):
+            raise InvalidPermutationError("minima positions must strictly increase")
+        if values != sorted(values, reverse=True) or len(set(values)) != len(values):
+            raise InvalidPermutationError("minima values must strictly decrease")
         object.__setattr__(self, "minima", minima)
 
     def _fields(self) -> tuple:

@@ -32,9 +32,10 @@ The two series of interest:
   32x / (-8x^2 + 20x + 1 - (1-8x)^{3/2}), which equals 1/(1 - F), and
   ((1-8x)^{3/2} - 8x^2 + 20x + 1) / (2(x+1)^3).
 
-``verify_H_algebraic`` checks the radical-free polynomial identity
-((-8x^2 + 20x + 1)·H - 32x)^2 = (1-8x)^3·H^2 coefficient by coefficient,
-forming each coefficient of a square from half its products.
+``verify_H_algebraic`` checks the paper's quadratic for H coefficient by
+coefficient, Q = (1+x)^3·H^2 - (1 + 20x - 8x^2)·H + 16x = 0, each coefficient
+of H^2 from half its products.  As (1-8x)^3 = (1 + 20x - 8x^2)^2 - 64x·(1+x)^3,
+the x^m coefficient of ((1 + 20x - 8x^2)·H - 32x)^2 - (1-8x)^3·H^2 is 64·Q(m-1).
 """
 from __future__ import annotations
 
@@ -324,11 +325,13 @@ def _square_coefficient(c: Sequence[Scalar], m: int) -> Scalar:
 
 
 def verify_H_algebraic(order: int, h: TruncatedSeries | None = None) -> bool:
-    """Check ((-8x^2 + 20x + 1)·H - 32x)^2 == (1-8x)^3·H^2 up to ``order``.
+    """Check (1+x)^3·H^2 - (1 + 20x - 8x^2)·H + 16x == 0 through x^(order-1).
 
-    Coefficient-exact with early exit at the first mismatch; ``h`` defaults to
-    the division-route series and may be overridden (e.g. with a perturbed
-    series, which must fail).
+    That is ((1 + 20x - 8x^2)·H - 32x)^2 == (1-8x)^3·H^2 through x^order, 64x
+    times the quadratic, so h(order) is never read.  Exact, with early exit at
+    the first mismatch; ``h`` defaults to the division-route series and may be
+    overridden (e.g. with a perturbed series, which must fail).  The check's
+    literals are its own, shared with no route to H, so it stays independent.
     """
     if order < 1:
         raise DomainError(f"order must be at least 1, got {order}")
@@ -336,18 +339,14 @@ def verify_H_algebraic(order: int, h: TruncatedSeries | None = None) -> bool:
         h = H_series_division(order)
     if h.order < order:
         raise DomainError(f"series order {h.order} is below the requested {order}", index=order)
-    # plain ints are much faster than integer-valued Fractions and the
-    # comparison is exact either way
-    hc = [c.numerator if c.denominator == 1 else c for c in h.coeffs[: order + 1]]
-    # u = (1 + 20x - 8x^2)·H - 32x, from H padded with two zeros in front
-    padded = [0, 0, *hc]
-    u = [c + 20 * b - 8 * a for a, b, c in zip(padded, padded[1:], padded[2:])]
-    u[1] -= 32
-    # w = H^2 after three zeros, so (1-8x)^3·w reads w[-1..-4]; w and both
-    # squares grow one order at a time, so a mismatch at low order stops the work
-    w = [0, 0, 0]
-    for m in range(order + 1):
+    # plain ints are much faster than integer-valued Fractions, and as exact
+    hc = [c.numerator if c.denominator == 1 else c for c in h.coeffs[:order]]
+    # H after two zeros and w = H^2 after three, so Q(m) reads padded[m..m+2] and w[-1..-4];
+    # w grows one order at a time, so a mismatch at low order stops the work
+    padded, w = [0, 0, *hc], [0, 0, 0]
+    for m in range(order):
         w.append(_square_coefficient(hc, m))
-        if _square_coefficient(u, m) != w[-1] - 24 * w[-2] + 192 * w[-3] - 512 * w[-4]:
+        if (w[-1] + 3 * w[-2] + 3 * w[-3] + w[-4] + (16 if m == 1 else 0)
+                != padded[m + 2] + 20 * padded[m + 1] - 8 * padded[m]):
             return False
     return True

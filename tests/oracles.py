@@ -105,6 +105,26 @@ def oracle_sqrt_cubed_coefficient(n):
     return binom * (-8) ** n
 
 
+def oracle_H_identity_holds(order, coeffs):
+    """((1 + 20x - 8x^2)·H - 32x)^2 == (1-8x)^3·H^2 through x^order, by explicit Cauchy sums.
+
+    ``coeffs`` holds H's coefficients from x^0, at least order + 1 of them,
+    as ints or ``Fraction``s, so every sum is exact.  The two sides are
+    compared one coefficient at a time, from x^0 up.
+    """
+    def cauchy(a, b, m):  # the x^m coefficient of a·b, each zero past its end
+        return sum(a[i] * b[m - i] for i in range(m + 1) if i < len(a) and m - i < len(b))
+
+    h = list(coeffs[:order + 1])
+    u = [cauchy([1, 20, -8], h, m) - cauchy([0, 32], [1], m) for m in range(order + 1)]
+    squares = []
+    for m in range(order + 1):
+        squares.append(cauchy(h, h, m))
+        if cauchy(u, u, m) != cauchy([1, -24, 192, -512], squares, m):
+            return False
+    return True
+
+
 def oracle_s1342_closed_form(n):
     """The alternating closed form for s1342(n), summed in exact rationals."""
     total = Fraction(7 * n * n - 3 * n - 2, 2) * (-1) ** (n - 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -277,6 +278,45 @@ def test_cross_check_detects_injected_error():
     assert not report.consistent
     bad = [r for r in report.reports if r.name == "s1342"][0]
     assert bad.discrepancies
+
+
+#: sha256 of ``cross_check(up_to_closed, up_to_brute, inject_error=...).to_json()``: entries,
+#: their order and the discrepancies are the report's bytes.  up_to_closed 0..3 moves the
+#: injected n = min(3, up_to_closed); the grid takes in up_to_brute 0 and brute ranges past
+#: the closed one
+CROSS_CHECK_JSON_SHA256 = [
+    ((0, 0, False), '516aa0e824efd254e7e8b8f51c407b598ab19dcdbdbaa855e8be1d9cdea429ea'),
+    ((0, 0, True), '516aa0e824efd254e7e8b8f51c407b598ab19dcdbdbaa855e8be1d9cdea429ea'),
+    ((0, 2, False), 'c9a923553a9287fc666455b647f2ce7c21732e711f8e05fbb178466e899226c6'),
+    ((0, 2, True), 'c9a923553a9287fc666455b647f2ce7c21732e711f8e05fbb178466e899226c6'),
+    ((1, 0, False), '99921df188857f6362ab005ec49323a919b2974797cc909117de3d856c435566'),
+    ((1, 0, True), 'faee2e6c0edb8b495373e0300fe975623856feefce475365173a8a7f7e9a3f90'),
+    ((1, 4, False), 'eebf939b84c3010a4ab6a9d776d56cc360d408c8e08475ef898f8a971885abdf'),
+    ((1, 4, True), '4e268ef7bd70883899f68bc516d15322ec124ccf781cf63eb16c4dccb75c26b2'),
+    ((2, 1, False), 'a61ff499e09ec5133b633728dfc0dcaba7b79191bb20ad100e9c0f5cfbe9cc5e'),
+    ((2, 1, True), 'f051ba46a8c7a8d5e74893b9c11d434c97b97ac2171085741341cb81fa91f5ee'),
+    ((3, 3, False), '4bd776704978c38c089e3c2029e6090237ced1b2ba041bea56407715f279e81c'),
+    ((3, 3, True), '1d445aa225e8b6544ac1449856225515e8acb02d64a3cd9a7dae119ce1d652a1'),
+    ((3, 0, False), '4d32771da6c8dd9a3841c83e681dd8021e512dbadb3026bf2da97aa98d9209ed'),
+    ((3, 0, True), '38a75a8618c62b335ec68cc2c50a75f5125b2bae80228d1ea3ddc915120ec636'),
+    ((5, 2, False), '54debf47799afafcfbdd4875da1ca2ce8561a4cfb1a152574bdd4429c6dee9de'),
+    ((5, 2, True), '7e474096090a67840f591b1ca53faa8c8d91f2465dc299fc4ad3f62d8a6df883'),
+    ((12, 8, False), 'c74da5ade35f035cdb5b3a26f289c620b3d663ea3d25680bf61408e2df112b05'),
+    ((12, 8, True), 'e0e614987b47d754775599dbee0d853d064ca9859fd41ddda81b89a619c5586d'),
+    ((50, 7, False), '57e84b5f1e0385ce93fc5b4e58f07c4a486f212fb686f7176aa43b81f69a7dc5'),
+    ((50, 7, True), 'efd21345aae0815a939279b647baa4bd3d26d3672136eca8e714ba7027dc480a'),
+    ((150, 6, False), '96dd97a2bce6412c3e74e382f343cdedd8a60f18ffe9245d89f4cdc932d9a4ca'),
+    ((150, 6, True), '3a783fefdd22a9cd63479f71e80d1d2c3cde5a63a60b9c6e2d3a54c544615252'),
+    ((60, 9, False), '63d3a95efd9d4b25b65082201ebe5f4c691ed914d8867cf62381b18744fa4a4a'),
+    ((60, 9, True), 'faa87f43a7b504aa4c179b051faf3d37cf330f0a7d86ae1b97b7aaf66dade6f1'),
+]
+
+
+@pytest.mark.parametrize("arguments,digest", CROSS_CHECK_JSON_SHA256)
+def test_cross_check_json_is_pinned(arguments, digest):
+    up_to_closed, up_to_brute, inject_error = arguments
+    text = cross_check(up_to_closed, up_to_brute, inject_error=inject_error).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_cross_check_bound_reads_one_1234_recurrence_pass(monkeypatch):

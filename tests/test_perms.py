@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avoid1342 import (
     ClassSignature,
@@ -226,6 +227,10 @@ def test_signature_invariants_enforced():
         ClassSignature(((1, 2), (2, 3)))  # values must decrease
     with pytest.raises(InvalidPermutationError, match="positions must strictly increase"):
         ClassSignature(((1, 3), (1, 2)))
+    # an entry that is not a pair, or a field that is not an int, as Permutation refuses
+    for minima in (((1,),), [(1, 1), 5], ((1, 2, 3),), ((1.0, 1),), ((True, 1),), ((1, "1"),)):
+        with pytest.raises(InvalidPermutationError):
+            ClassSignature(minima)
     signature = ClassSignature(((1, 3), (3, 1)))
     assert (signature.positions, signature.values) == ((1, 3), (3, 1))
 
@@ -519,3 +524,57 @@ def test_walk_backs_up_from_a_dead_prefix():
 def test_pattern_of():
     assert pattern_of((3, 6, 5)).values == (1, 3, 2)
     assert pattern_of(()).values == ()
+
+
+# ---------------------------------------------------------------- error contract
+
+sizes = st.integers(-2, 7)
+ceilings = st.integers(-1, 8)
+patterns = perm_strategy(max_n=5)
+entries = st.one_of(st.integers(-1, 8), st.booleans(), st.floats(0, 8), st.text("12", max_size=1))
+minima_entries = st.one_of(st.tuples(st.integers(-1, 7), st.integers(-1, 7)), st.tuples(entries),
+                           st.tuples(entries, entries), st.tuples(entries, entries, entries), entries)
+
+
+def _streamed(n, pattern, selection, first_entry, ceiling):
+    return list(iter_avoiders(n, pattern, selection, first_entry=first_entry, ceiling=ceiling))
+
+
+def _counted(n, pattern, selection, first_entry, ceiling):
+    return count_avoiders(n, pattern, selection, first_entry=first_entry, ceiling=ceiling)
+
+
+#: each public function of ``perms``, with strategies for its arguments and its documented errors
+CONTRACT = [
+    (Permutation, (st.lists(entries, max_size=7),), InvalidPermutationError),
+    (Permutation.from_text, (st.text("0123456789,+- \u0661", max_size=9),),
+     InvalidPermutationError),
+    (ClassSignature, (st.lists(minima_entries, max_size=4),), InvalidPermutationError),
+    (pattern_of, (st.lists(st.integers(-3, 9), max_size=7),), InvalidPermutationError),
+    (contains, (perm_strategy(), patterns), DomainError),
+    (count_occurrences, (perm_strategy(), patterns), DomainError),
+    (left_to_right_minima, (perm_strategy(),), ()),
+    (same_class, (perm_strategy(), perm_strategy()), ()),
+    (is_indecomposable, (perm_strategy(),), ()),
+    (decompose, (perm_strategy(),), ()),
+    (compose_blocks, (st.lists(perm_strategy(max_n=3), max_size=3),), ()),
+    (normalize, (perm_strategy(),), ()),
+] + [(route, (sizes, patterns, st.sampled_from(["all", "indecomposable", "first_entry_is_1", "x"]),
+              st.one_of(st.none(), st.integers(-1, 8)), ceilings), (DomainError, ResourceLimitError))
+     for route in (_streamed, _counted)]
+
+
+@st.composite
+def contract_calls(draw):
+    function, arguments, errors = draw(st.sampled_from(CONTRACT))
+    return function, tuple(draw(argument) for argument in arguments), errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(contract_calls())
+def test_perms_returns_or_refuses_by_its_documented_errors(call):
+    function, arguments, errors = call
+    try:
+        function(*arguments)
+    except errors:
+        pass

@@ -21,7 +21,7 @@ from avoid1342 import (
 
 from avoid1342 import counting, series
 
-from oracles import oracle_sqrt_cubed_coefficient
+from oracles import oracle_H_identity_holds, oracle_sqrt_cubed_coefficient
 
 #: the ten published counts of 1342-avoiders, n = 1..10
 S1342_VALUES = [1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662]
@@ -210,6 +210,19 @@ def test_verify_fails_on_perturbation():
         coeffs = list(h.coeffs)
         coeffs[index] += 1
         assert verify_H_algebraic(order + 1, TruncatedSeries(tuple(coeffs))) is False
+
+
+def test_verify_agrees_with_the_squared_identity_oracle():
+    # the check reads the quadratic, 1/(64x) times the squared identity the oracle expands
+    for order in range(1, 41):
+        h = [int(c) for c in H_series_rational(order).coeffs]
+        cases = [h] + [h[:index] + [h[index] + change] + h[index + 1:]
+                       for index in range(order + 1) for change in (1, Fraction(1, 3))]
+        for coeffs in cases:
+            verdict = verify_H_algebraic(order, TruncatedSeries(coeffs))
+            assert verdict == oracle_H_identity_holds(order, coeffs), (order, coeffs)
+        # h(order) is never read: a change there is not seen
+        assert all(verify_H_algebraic(order, TruncatedSeries(coeffs)) for coeffs in cases[-2:])
 
 
 def test_verify_order_must_cover_series():

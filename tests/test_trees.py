@@ -3,11 +3,14 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avoid1342 import (
     DomainError,
     InvalidTreeError,
     LabeledPlaneTree,
+    ShapeFlags,
     Permutation,
     ResourceLimitError,
     TreeParseError,
@@ -389,3 +392,48 @@ def test_unrank_names_every_tree_once():
     for r in (-1, 3):
         with pytest.raises(ValueError):
             unrank(3, r)
+
+
+# ---------------------------------------------------------------- error contract
+
+sizes = st.integers(-2, 7)
+ceilings = st.integers(-1, 8)
+#: trees of at most 7 nodes, labels 0..3, so valid and invalid labelings both occur
+trees = st.recursive(st.builds(LabeledPlaneTree, st.integers(0, 3)),
+                     lambda kids: st.builds(LabeledPlaneTree, st.integers(0, 3),
+                                            st.lists(kids, min_size=1, max_size=3)),
+                     max_leaves=4).filter(lambda tree: subtree_size(tree) <= 7)
+labels = st.one_of(st.integers(-2, 3), st.booleans(), st.floats(0, 2), st.text("0", max_size=1))
+
+#: each public function of ``trees``, with strategies for its arguments and its documented errors
+CONTRACT = [
+    # children come from ``trees`` alone: the constructor does not check what a child is
+    (LabeledPlaneTree, (labels, st.lists(trees, max_size=3)), InvalidTreeError),
+    (parse, (st.one_of(st.text("0123456789() \u0661", max_size=12), trees.map(serialize)),),
+     TreeParseError),
+    (path_shape, (sizes,), InvalidTreeError),
+    (lambda n: list(iter_shapes(n)), (sizes,), DomainError),
+    (lambda n, ceiling: list(generate_all_beta01(n, ceiling=ceiling)), (sizes, ceilings),
+     (DomainError, ResourceLimitError)),
+    (lambda n, ceiling: count_beta01(n, ceiling=ceiling), (sizes, ceilings),
+     (DomainError, ResourceLimitError)),
+    (lambda shape: list(iter_valid_labelings(shape)), (trees,), ()),
+    (ShapeFlags, (st.booleans(), st.booleans()), ()),
+] + [(function, (trees,), ()) for function in (
+    postorder_positions, subtree_size, validate_beta01, serialize, normalize_tree, classify_shape)]
+
+
+@st.composite
+def contract_calls(draw):
+    function, arguments, errors = draw(st.sampled_from(CONTRACT))
+    return function, tuple(draw(argument) for argument in arguments), errors
+
+
+@settings(max_examples=200, deadline=None)
+@given(contract_calls())
+def test_trees_returns_or_refuses_by_its_documented_errors(call):
+    function, arguments, errors = call
+    try:
+        function(*arguments)
+    except errors:
+        pass
