@@ -46,7 +46,7 @@ from typing import Sequence
 
 from .errors import DomainError, ReconstructionError
 from .perms import Permutation, _normalize_values, compose_blocks, decompose
-from .trees import _LEAF, LabeledPlaneTree, _from_arrays, _labels_valid, _reading_arrays
+from .trees import _LEAF, LabeledPlaneTree, _from_arrays, _labels_valid, _node, _reading_arrays
 
 # ---------------------------------------------------------------------------
 # beats / reaches
@@ -164,7 +164,7 @@ def f_forward(p: Permutation) -> LabeledPlaneTree:
     labels.append(labels[-1] if labels else 0)
     tree = _LEAF  # the leaf's label, labels[0], is 1 - min(p_2..p_n) + 1 = 0
     for label in labels[1:]:  # root last
-        tree = LabeledPlaneTree(label, (tree,))
+        tree = _node(label, (tree,))
     return tree
 
 

@@ -12,16 +12,16 @@ Subcommands::
 
 Exit codes: 0 success, 1 verification discrepancy, 2 bad input or unsupported
 combination, 3 refused resource ceiling (``--max-brute-n`` for brute force,
-``QUADRATIC_CEILING`` for series, convolution and the sequences suite), 4
-internal error (a failed self-check; a bug, never bad input).  Where the
+``errors.QUADRATIC_CEILING`` for series, convolution and the sequences
+suite), 4 internal error (a failed self-check; a bug, never bad input).  Where the
 platform has SIGPIPE, ``entrypoint`` restores its default action, so a reader
 that closes stdout early ends the process quietly (status 141 in the shell).
-``--method series`` reads the linear route ``series.H_series_rational``; ``verify`` keeps
-the division route as its second series route.  ``--method closed`` reads one
-pass for the whole range and keeps only the rows it prints: the closed
-form's running sums for 1342 and the P-recurrence for 1234, so ``sequence
---upto N`` computes its rows at the cost of ``count --n N``, and s(0) = 1
-comes out of the pass.  Integer
+Every method but ``brute`` is one row of ``counting._ROUTES``, the one home of
+the routes and their ceilings: a (pattern, method) pair with no row is bad
+input, and n above the row's ceiling is refused.  ``--method series`` reads the
+linear route; ``verify`` keeps the division route as its second series route.
+``--method closed`` reads one pass for the whole range and keeps only the rows
+it prints, so ``sequence --upto N`` costs what ``count --n N`` does.  Integer
 options read ASCII digits after an optional minus, and ``--pattern`` is read
 as a permutation by every method.  ``sequence --upto 0`` refuses what ``count --n 0`` refuses;
 ``sequence`` and ``verify`` check their ceilings before any work.  Every
@@ -51,6 +51,7 @@ import sys
 
 from .errors import (
     DEFAULT_CEILING,
+    QUADRATIC_CEILING,
     DomainError,
     IntegralityError,
     InvalidPermutationError,
@@ -66,15 +67,6 @@ EXIT_DISCREPANCY = 1
 EXIT_USER_ERROR = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
-
-#: Largest n of ``--method series`` and ``convolution`` and ``verify --suite
-#: sequences``.  The convolution and the suite's division-route series share one
-#: blocked solver, quadratic in big integers: at 2 500 on a 2-core machine (Python
-#: 3.11) each takes about 3.5-4 s CPU, and the whole suite about 15 s wall.
-#: ``--method series`` reads the linear route, 0.02 s at 2 500, and keeps the
-#: same ceiling.
-QUADRATIC_CEILING = 2500
-
 
 #: the least value of each integer option, checked in this order before any command runs
 _LEAST = {"workers": 1, "max_brute_n": 0, "n": 0, "upto": 0, "max_n": 1}
@@ -105,21 +97,14 @@ def _counts(args, lo: int, hi: int) -> list[int]:
         if p.values:  # count_avoiders refuses an empty pattern first
             _check_brute_ceiling(lo, hi, args.max_brute_n)
         return [perms.count_avoiders(n, p, ceiling=args.max_brute_n) for n in range(lo, hi + 1)]
-    from . import counting, series
-    if (p.values, args.method) == ((1, 2, 3, 4), "closed"):
-        return counting._s1234_values(lo, hi)  # linear; the closed sum is not
-    if p.values != (1, 3, 4, 2):
+    from . import counting
+    if (p.values, args.method) not in counting._ROUTES:
         route = "closed form" if args.method == "closed" else args.method
         raise DomainError(f"no {route} for pattern {args.pattern}")
-    if args.method == "closed":
-        return counting._s1342_closed_values(lo, hi)
-    if hi > QUADRATIC_CEILING:
-        raise ResourceLimitError(
-            f"n={hi} exceeds the ceiling {QUADRATIC_CEILING} of --method {args.method}")
-    if args.method == "convolution":
-        return counting.s1342_convolution(hi)[lo:]
-    h = series.H_series_rational(hi)
-    return [int(h.coefficient(n)) for n in range(lo, hi + 1)]
+    values, ceiling = counting._ROUTES[p.values, args.method]
+    if hi > ceiling:
+        raise ResourceLimitError(f"n={hi} exceeds the ceiling {ceiling} of --method {args.method}")
+    return values(lo, hi)
 
 
 def _cmd_count(args) -> int:

@@ -29,8 +29,10 @@ Closed forms are evaluated on integers: every division is a checked exact
 division (``IntegralityError`` on a remainder), so any transcription slip
 fails loudly instead of rounding.  ``s1234_closed``, whose terms are not
 integers, sums them over one common denominator and divides once at the end.
-``cross_check`` runs every available method pair over a shared range (brute
-force included up to its own bound) and reports disagreements as data.
+``_ROUTES`` is the one home of the counting routes and their ceilings
+(``errors.QUADRATIC_CEILING``), read by the CLI and by ``cross_check``, which
+runs every method pair over a shared range (brute force up to its own bound)
+and reports disagreements as data.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, cycle, islice
 from operator import mul
 
-from .errors import DEFAULT_CEILING, DomainError, exact_quotient
+from .errors import DEFAULT_CEILING, QUADRATIC_CEILING, DomainError, exact_quotient
 from .perms import Permutation, count_avoiders
 from .series import (F_series, H_series_division, H_series_rational, _solve_integers,
                      _square_coefficient)
@@ -302,6 +304,16 @@ _P1342 = Permutation((1, 3, 4, 2))
 _P1234 = Permutation((1, 2, 3, 4))
 _P132 = Permutation((1, 3, 2))
 
+#: (pattern values, CLI method) -> (values(lo, hi) for n = lo..hi, the largest n answered);
+#: a row looks its function up when called, so a patched module attribute is what runs
+_ROUTES = {
+    (_P1342.values, "closed"): (lambda lo, hi: _s1342_closed_values(lo, hi), math.inf),
+    (_P1342.values, "series"): (lambda lo, hi: [*map(int, H_series_rational(hi).coeffs[lo:])],
+                                QUADRATIC_CEILING),
+    (_P1342.values, "convolution"): (lambda lo, hi: s1342_convolution(hi)[lo:], QUADRATIC_CEILING),
+    (_P1234.values, "closed"): (lambda lo, hi: _s1234_values(lo, hi), math.inf),  # two terms live
+}
+
 
 def cross_check(
     up_to_closed: int,
@@ -316,14 +328,15 @@ def cross_check(
     ``up_to_closed``; brute-force oracles up to ``up_to_brute``, and there the
     labeled trees on n nodes, counted off ``trees.count_beta01``'s label-sum
     tables, which build no tree.  A negative bound is refused before any
-    work.  Each route is a list of values by n; one table row per sequence
-    names its first n and its routes on each range, and one loop fills every
+    work.  Each route is a list of values by n, s1342's closed, series-rational
+    and convolution ones read off ``_ROUTES``; one table row per sequence names
+    its first n and its routes on each range, and one loop fills every
     ``SequenceReport`` n by n in its row's order.  Also checks s1342(n) < 8^n
     over the closed range and s1342(n) < s1234(n) from n = 6 on (by oracle on
     the brute range; on the closed range against one pass of
     ``s1234_recurrence``).  Disagreements are reported as data, not raised.
-    ``inject_error`` corrupts the closed s1342(min(3, ``up_to_closed``)), so
-    harnesses can confirm the check is not vacuous.
+    ``inject_error`` corrupts the closed s1342(min(3, ``up_to_closed``)), so that
+    harnesses can see the check bite; it is refused where ``up_to_closed`` is 0.
     """
     if up_to_brute < 0:
         raise DomainError(f"up_to_brute must be nonnegative, got {up_to_brute}")
@@ -331,8 +344,11 @@ def cross_check(
         raise DomainError(
             f"up_to_brute={up_to_brute} exceeds the brute-force ceiling {brute_ceiling}"
         )
-    convolution = s1342_convolution(up_to_closed)  # refuses a negative up_to_closed
-    closed = _s1342_closed_values(0, up_to_closed)
+    if inject_error and up_to_closed == 0:  # the closed range starts at n = 1
+        raise DomainError("inject_error needs up_to_closed >= 1, got 0")
+    # the convolution first: it refuses a negative up_to_closed
+    convolution, closed, rational = (_ROUTES[_P1342.values, method][0](0, up_to_closed)
+                                     for method in ("convolution", "closed", "series"))
     reported = closed.copy()
     reported[min(3, up_to_closed)] += bool(inject_error)
     squares = [1]  # the Catalan numbers by C(n+1) = [x^n] C(x)^2
@@ -348,7 +364,7 @@ def cross_check(
     table = (
         ("s1342", 1, (("closed", reported),
                       ("series-division", [*map(int, H_series_division(up_to_closed).coeffs)]),
-                      ("series-rational", [*map(int, H_series_rational(up_to_closed).coeffs)]),
+                      ("series-rational", rational),
                       ("convolution", convolution)), (("brute", brute_1342),)),
         ("t", 1, (("closed", [0, *map(t_closed, closed_ns)]),
                   ("recurrence", [0, *map(t_recurrence, closed_ns)])), ()),

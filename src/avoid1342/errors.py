@@ -1,7 +1,11 @@
-"""Exception types shared across the package, the exhaustive ceiling and the exact division."""
+"""Exception types shared across the package, its ceilings and the exact division."""
 
 #: Largest n of any exhaustive enumeration (avoiders or trees) unless the caller raises it.
 DEFAULT_CEILING = 12
+
+#: Largest n of the series and convolution rows of ``counting._ROUTES`` and of ``verify --suite
+#: sequences``, whose blocked solver is quadratic in big integers (3.5-4 s CPU each at 2 500).
+QUADRATIC_CEILING = 2500
 
 
 class InvalidPermutationError(ValueError):

@@ -31,12 +31,14 @@ just that node and the root.
 
 Trees are immutable and compare by structure, so the builders here (``parse``,
 ``_from_arrays``, the generators and ``path_shape``) share one leaf with label
-0, ``_LEAF``; ``LabeledPlaneTree(0)`` itself still makes a new node.  A tree
-pickles flat, as its reading-order labels and child counts, rebuilt by one
-loop through the constructor, and a copy is the tree itself, so depth does not
-matter there either.  Generation streams are restartable, and the shape level
-is exposed separately (``iter_shapes`` + ``iter_valid_labelings``) so callers
-can consume shapes in parallel.  ``count_beta01`` counts the same trees
+0, ``_LEAF``; ``LabeledPlaneTree(0)`` itself still makes a new node.  The
+constructor refuses a label that is not an int >= 0 and a child that is not a
+tree; the builders, which pass only those, make their nodes by ``_node``
+unchecked.  A tree pickles flat, as its reading-order labels and child counts,
+rebuilt by one loop through the constructor, and a copy is the tree itself, so
+depth does not matter there either.  Generation streams are restartable, and
+the shape level is exposed separately (``iter_shapes`` +
+``iter_valid_labelings``) so callers can consume shapes in parallel.  ``count_beta01`` counts the same trees
 without building any: it sums tables of subtrees by size and top label and of
 subtree sequences by size and label sum (``_label_sum_tables``), in O(n^4)
 integer steps, and refuses the same n as the stream through
@@ -72,8 +74,12 @@ class LabeledPlaneTree(Frozen):
             raise InvalidTreeError(f"label {label!r} is not an int")
         if label < 0:
             raise InvalidTreeError(f"negative label {label}")
+        children = tuple(children)
+        for child in children:
+            if not isinstance(child, LabeledPlaneTree):  # serialize would write text parse refuses
+                raise InvalidTreeError(f"child {child!r} is not a tree")
         _set_label(self, label)
-        _set_children(self, tuple(children))
+        _set_children(self, children)
 
     def _signature(self) -> list[tuple[int, int]]:
         return [(node.label, len(node.children)) for node in postorder_positions(self)]
@@ -106,10 +112,19 @@ _set_label, _set_children = LabeledPlaneTree.label.__set__, LabeledPlaneTree.chi
 _LEAF = LabeledPlaneTree(0)
 
 
+def _node(label: int, children: tuple[LabeledPlaneTree, ...] = ()) -> LabeledPlaneTree:
+    """A node made past the constructor's checks, for builders that pass only valid fields."""
+    node = object.__new__(LabeledPlaneTree)
+    _set_label(node, label)
+    _set_children(node, children)
+    return node
+
+
 def _from_signature(labels: tuple[int, ...], counts: tuple[int, ...]) -> LabeledPlaneTree:
     """Rebuild a tree from its reading-order labels and child counts.
 
-    Each node is made by the public constructor, which checks its label.
+    Each node is made by the public constructor, which checks its label and
+    children: the labels and counts come from outside, as pickled data.
     """
     done: list[LabeledPlaneTree] = []  # finished subtrees still waiting for their parent
     for label, count in zip(labels, counts):
@@ -159,9 +174,9 @@ def _from_arrays(label: list[int], kids: list[list[int]]) -> LabeledPlaneTree:
     for pos in range(1, len(kids)):
         child_positions = kids[pos]
         if child_positions:
-            built.append(LabeledPlaneTree(label[pos], tuple([built[c] for c in child_positions])))
+            built.append(_node(label[pos], tuple([built[c] for c in child_positions])))
         else:
-            built.append(LabeledPlaneTree(label[pos]) if label[pos] else _LEAF)
+            built.append(_node(label[pos]) if label[pos] else _LEAF)
     return built[-1]
 
 
@@ -243,7 +258,7 @@ def parse(text: str) -> LabeledPlaneTree:
             pos += 1
             open_nodes.append((label, []))
             continue
-        node = LabeledPlaneTree(label) if label else _LEAF
+        node = _node(label) if label else _LEAF
         while open_nodes:  # attach the finished node; close parents until a sibling follows
             open_nodes[-1][1].append(node)
             if pos < end and text[pos] == " ":
@@ -253,7 +268,7 @@ def parse(text: str) -> LabeledPlaneTree:
                 raise TreeParseError("expected ')' or ' '", pos)
             pos += 1
             label, children = open_nodes.pop()
-            node = LabeledPlaneTree(label, tuple(children))
+            node = _node(label, tuple(children))
         else:
             break
     if pos != end:
@@ -295,7 +310,7 @@ def path_shape(n: int) -> LabeledPlaneTree:
         raise InvalidTreeError("path shape needs at least one node")
     tree = _LEAF
     for _ in range(n - 1):
-        tree = LabeledPlaneTree(0, (tree,))
+        tree = _node(0, (tree,))
     return tree
 
 
@@ -342,7 +357,7 @@ def _shape_from_sizes(size: list[int]) -> LabeledPlaneTree:
         while c < end:
             children.append(built[c])
             c += size[c]
-        built[k] = LabeledPlaneTree(0, tuple(children))
+        built[k] = _node(0, tuple(children))
     return built[0]
 
 
@@ -375,13 +390,13 @@ def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
     start = 0
     while True:
         for pos in outer[start:]:
-            built[pos] = LabeledPlaneTree(label[pos], tuple([built[c] for c in kids[pos]]))
+            built[pos] = _node(label[pos], tuple([built[c] for c in kids[pos]]))
         below = tuple([built[c] for c in kids[last]])
         top = [built[c] for c in kids[n]]
         base = child_sum[n]
         for k in range(child_sum[last] + 2):
-            top[slot] = LabeledPlaneTree(k, below)
-            yield LabeledPlaneTree(base + k, tuple(top))
+            top[slot] = _node(k, below)
+            yield _node(base + k, tuple(top))
         for start in range(len(outer) - 1, -1, -1):
             pos = outer[start]
             if label[pos] <= child_sum[pos]:

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import pathlib
 import sys
 import time
@@ -24,6 +25,7 @@ from avoid1342 import (
     trees,
 )
 from avoid1342.cli import QUADRATIC_CEILING, main
+from oracles import oracle_increasing_avoiders, oracle_s1342_closed_form
 
 S1342_VALUES = [1, 2, 6, 23, 103, 512, 2740, 15485, 91245, 555662]
 
@@ -175,6 +177,56 @@ def test_verify_sequences_refuses_max_n_above_the_quadratic_ceiling(capsys, suit
 
 def test_quadratic_ceiling_leaves_room_for_the_benchmark_sizes():
     assert cli.QUADRATIC_CEILING >= 2 * 1000
+
+
+def test_routes_and_their_ceilings_have_one_home():
+    # cli's counts pick no route themselves: they read counting._ROUTES, whose ceilings live
+    # in errors
+    source = pathlib.Path(cli.__file__).read_text(encoding="utf-8")
+    (counts,) = [node for node in ast.walk(ast.parse(source))
+                 if isinstance(node, ast.FunctionDef) and node.name == "_counts"]
+    names = {getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(counts)}
+    assert "_ROUTES" in names
+    assert not names & {"H_series_rational", "s1342_convolution", "_s1342_closed_values",
+                        "_s1234_values", "QUADRATIC_CEILING"}
+    stores = [node for path in pathlib.Path(cli.__file__).parent.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Name) and node.id == "QUADRATIC_CEILING"
+              and isinstance(node.ctx, ast.Store)]
+    assert len(stores) == 1
+    assert cli.QUADRATIC_CEILING == counting.QUADRATIC_CEILING == errors.QUADRATIC_CEILING
+
+
+#: the oracle of each pattern that has a route other than brute force
+ROUTE_ORACLES = {(1, 3, 4, 2): oracle_s1342_closed_form,
+                 (1, 2, 3, 4): lambda n: oracle_increasing_avoiders(n, 4)}
+
+
+@pytest.mark.parametrize("key", sorted(counting._ROUTES),
+                         ids=lambda key: "".join(map(str, key[0])) + "-" + key[1])
+def test_every_route_gives_the_oracle_values_and_answers_up_to_its_ceiling(capsys, key):
+    values, ceiling = counting._ROUTES[key]
+    pattern, method = key
+    oracle = ROUTE_ORACLES[pattern]
+    for lo, hi in ((0, 0), (0, 6), (3, 3), (1, 0), (5, 12), (0, 30), (29, 30)):
+        assert values(lo, hi) == [1 if n == 0 else oracle(n) for n in range(lo, hi + 1)], (lo, hi)
+    if ceiling == math.inf:
+        return
+    argv = ("count", "--pattern", "".join(map(str, pattern)), "--method", method, "--n")
+    expected = counting._ROUTES[pattern, "closed"][0](ceiling, ceiling)
+    assert run(capsys, *argv, str(ceiling)) == (0, f"{expected[0]}\n", "")
+    assert run(capsys, *argv, str(ceiling + 1)) == (
+        3, "", f"error: n={ceiling + 1} exceeds the ceiling {ceiling} of --method {method}\n")
+
+
+@pytest.mark.parametrize("pattern,method", [
+    (pattern, method) for pattern in ("1342", "1234", "2413")
+    for method in ("closed", "series", "convolution")
+    if (tuple(map(int, pattern)), method) not in counting._ROUTES])
+def test_a_pair_with_no_route_is_bad_input(capsys, pattern, method):
+    route = "closed form" if method == "closed" else method
+    assert run(capsys, "count", "--pattern", pattern, "--n", "5", "--method", method) == (
+        2, "", f"error: no {route} for pattern {pattern}\n")
 
 
 def test_count_bad_pattern_text(capsys):

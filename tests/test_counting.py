@@ -283,12 +283,12 @@ def test_cross_check_detects_injected_error():
 #: sha256 of ``cross_check(up_to_closed, up_to_brute, inject_error=...).to_json()``: entries,
 #: their order and the discrepancies are the report's bytes.  up_to_closed 0..3 moves the
 #: injected n = min(3, up_to_closed); the grid takes in up_to_brute 0 and brute ranges past
-#: the closed one
+#: the closed one.  None marks a refusal: with up_to_closed 0 there is no closed n to corrupt
 CROSS_CHECK_JSON_SHA256 = [
     ((0, 0, False), '516aa0e824efd254e7e8b8f51c407b598ab19dcdbdbaa855e8be1d9cdea429ea'),
-    ((0, 0, True), '516aa0e824efd254e7e8b8f51c407b598ab19dcdbdbaa855e8be1d9cdea429ea'),
+    ((0, 0, True), None),
     ((0, 2, False), 'c9a923553a9287fc666455b647f2ce7c21732e711f8e05fbb178466e899226c6'),
-    ((0, 2, True), 'c9a923553a9287fc666455b647f2ce7c21732e711f8e05fbb178466e899226c6'),
+    ((0, 2, True), None),
     ((1, 0, False), '99921df188857f6362ab005ec49323a919b2974797cc909117de3d856c435566'),
     ((1, 0, True), 'faee2e6c0edb8b495373e0300fe975623856feefce475365173a8a7f7e9a3f90'),
     ((1, 4, False), 'eebf939b84c3010a4ab6a9d776d56cc360d408c8e08475ef898f8a971885abdf'),
@@ -315,6 +315,10 @@ CROSS_CHECK_JSON_SHA256 = [
 @pytest.mark.parametrize("arguments,digest", CROSS_CHECK_JSON_SHA256)
 def test_cross_check_json_is_pinned(arguments, digest):
     up_to_closed, up_to_brute, inject_error = arguments
+    if digest is None:
+        with pytest.raises(DomainError, match="inject_error needs up_to_closed >= 1"):
+            cross_check(up_to_closed, up_to_brute, inject_error=inject_error)
+        return
     text = cross_check(up_to_closed, up_to_brute, inject_error=inject_error).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
@@ -352,6 +356,19 @@ def test_cross_check_reports_the_brute_1234_bound(monkeypatch):
     monkeypatch.setattr(counting, "count_avoiders", too_small)
     assert cross_check(8, 7).bound_violations == [
         f"s1342({n}) >= s1234({n}) [brute]" for n in (6, 7)]
+
+
+def test_cross_check_refuses_inject_error_only_where_the_closed_range_is_empty():
+    # the closed range starts at n = 1: with up_to_closed 0 the flag corrupted nothing
+    for up_to_brute in (0, 3):
+        with pytest.raises(DomainError, match="inject_error needs up_to_closed >= 1, got 0"):
+            cross_check(0, up_to_brute, inject_error=True)
+    # the brute bounds are refused first, and a negative closed bound by the convolution
+    with pytest.raises(DomainError, match="up_to_brute must be nonnegative"):
+        cross_check(0, -1, inject_error=True)
+    with pytest.raises(DomainError, match="up_to must be nonnegative, got -1"):
+        cross_check(-1, 0, inject_error=True)
+    assert not cross_check(1, 0, inject_error=True).consistent
 
 
 def test_cross_check_respects_brute_ceiling():

@@ -51,6 +51,14 @@ def test_label_that_is_not_int_rejected(label):
         LabeledPlaneTree(label, (LabeledPlaneTree(0),))
 
 
+@pytest.mark.parametrize("children",
+                         ["ab", [0], (LabeledPlaneTree(0), None), [[LabeledPlaneTree(0)]]])
+def test_child_that_is_not_a_tree_rejected(children):
+    # such a node was built, serialize wrote 0(a b), and parse refused that text
+    with pytest.raises(InvalidTreeError, match="is not a tree"):
+        LabeledPlaneTree(0, children)
+
+
 def test_children_stored_as_a_tuple():
     tree = LabeledPlaneTree(0, [LabeledPlaneTree(0)])
     assert tree.children == (LabeledPlaneTree(0),) and tree == parse("0(0)")
@@ -404,11 +412,13 @@ trees = st.recursive(st.builds(LabeledPlaneTree, st.integers(0, 3)),
                                             st.lists(kids, min_size=1, max_size=3)),
                      max_leaves=4).filter(lambda tree: subtree_size(tree) <= 7)
 labels = st.one_of(st.integers(-2, 3), st.booleans(), st.floats(0, 2), st.text("0", max_size=1))
+#: children of any kind: trees, and values that are not trees
+children = st.lists(st.one_of(trees, labels, st.none(), st.text(max_size=2),
+                              st.lists(trees, max_size=1)), max_size=3)
 
 #: each public function of ``trees``, with strategies for its arguments and its documented errors
 CONTRACT = [
-    # children come from ``trees`` alone: the constructor does not check what a child is
-    (LabeledPlaneTree, (labels, st.lists(trees, max_size=3)), InvalidTreeError),
+    (LabeledPlaneTree, (labels, children), InvalidTreeError),
     (parse, (st.one_of(st.text("0123456789() \u0661", max_size=12), trees.map(serialize)),),
      TreeParseError),
     (path_shape, (sizes,), InvalidTreeError),
