@@ -38,6 +38,11 @@ value to the prefix.  The walk skips a candidate in ``forbid`` before it is
 appended and restores the state when it backs up; ``contains`` takes the
 step once per entry of its one permutation and stops at the first value in
 ``forbid``.
+
+``_perm`` stores a permutation past the constructor's check, only where
+the values are one by construction from checked input: the walk's yields
+and what ``decompose`` and ``normalize`` make of a ``Permutation``.  Values
+from outside go through the constructor.
 """
 from __future__ import annotations
 
@@ -109,6 +114,13 @@ class Permutation(Frozen):
 
 
 _set_values = Permutation.values.__set__  # stores past __setattr__, faster than object's
+
+
+def _perm(values: tuple[int, ...]) -> Permutation:
+    """A permutation made past the constructor's check, from a tuple that is one by construction."""
+    p = object.__new__(Permutation)
+    _set_values(p, values)
+    return p
 
 
 class ClassSignature(Frozen):
@@ -281,7 +293,7 @@ def decompose(p: Permutation) -> list[Permutation]:
     """
     vals, n = p.values, len(p)
     # the block ending at index b holds the values n-b+1..n-b+(b-a)
-    return [Permutation(tuple(v - n + b for v in vals[a:b])) for a, b in _block_spans(vals)]
+    return [_perm(tuple(v - n + b for v in vals[a:b])) for a, b in _block_spans(vals)]
 
 
 def compose_blocks(blocks: Sequence[Permutation]) -> Permutation:
@@ -305,7 +317,7 @@ def normalize(p: Permutation) -> Permutation:
     >>> str(normalize(Permutation.from_text("361542")))
     '341256'
     """
-    return Permutation(tuple(_normalize_values(p.values)))
+    return _perm(tuple(_normalize_values(p.values)))
 
 
 def _normalize_values(vals: Sequence[int]) -> list[int]:
@@ -539,7 +551,7 @@ def _walk(
     levels, forbid, extend = _occurrence_state(n, q)
     everything = (2 << n) - 2  # the bitmask of 1..n
     vals: list[int] = []
-    saved: list[tuple[int, int, list[int], int]] = []
+    saved: list[tuple[int, int, tuple[int, ...], int]] = []
     undo: list[tuple[list, int, tuple[int, ...]]] = []
     used = low = 0  # bitmask of the prefix's values, its minimum once nonempty
     v, stop = first.start, first.stop  # next candidate and bound at this depth
@@ -571,7 +583,7 @@ def _walk(
                 yield (*vals, v, rest.bit_length() - 1)
             v += 1
             continue
-        saved.append((forbid, low, [len(level) for level in levels], len(undo)))
+        saved.append((forbid, low, tuple(map(len, levels)), len(undo)))
         used |= 1 << v
         forbid = extend(v, c, used, forbid, undo)
         vals.append(v)
@@ -593,14 +605,15 @@ def iter_avoiders(
     Yields each avoider exactly once, in lexicographic order.  The pattern and
     the selection both prune prefixes, so only prefixes of selected avoiders
     are ever extended.  ``first_entry`` (in 1..n) restricts the stream to
-    permutations starting with that value.
+    permutations starting with that value.  The walk takes each value from
+    the bitmask of those still free, so its yields are built by ``_perm``,
+    unchecked.
 
     >>> [str(p) for p in iter_avoiders(3, Permutation.from_text("132"))]
     ['123', '213', '231', '312', '321']
     """
     first, indecomposable = _prunes(n, pattern, selection, first_entry, ceiling)
-    for vals in _walk(n, pattern.values, first, indecomposable):
-        yield Permutation(vals)
+    yield from map(_perm, _walk(n, pattern.values, first, indecomposable))
 
 
 def count_avoiders(

@@ -34,8 +34,9 @@ Trees are immutable and compare by structure, so the builders here (``parse``,
 0, ``_LEAF``; ``LabeledPlaneTree(0)`` itself still makes a new node.  The
 constructor refuses a label that is not an int >= 0 and a child that is not a
 tree; the builders, which pass only those, make their nodes by ``_node``
-unchecked.  A tree pickles flat, as its reading-order labels and child counts,
-rebuilt by one loop through the constructor, and a copy is the tree itself, so
+unchecked (inlined in the inner loop of ``iter_valid_labelings``).  A tree
+pickles flat, as its reading-order labels and child counts, rebuilt by one
+loop through the constructor, and a copy is the tree itself, so
 depth does not matter there either.  Generation streams are restartable, and
 the shape level is exposed separately (``iter_shapes`` +
 ``iter_valid_labelings``) so callers can consume shapes in parallel.  ``count_beta01`` counts the same trees
@@ -387,6 +388,7 @@ def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
     label = [0] * (n + 1)
     child_sum = [0] * (n + 1)  # the root's omits ``last``, labeled by the inner loop only
     built = [_LEAF] * (n + 1)  # leaves never change
+    new, tree, set_label, set_children = object.__new__, LabeledPlaneTree, _set_label, _set_children
     start = 0
     while True:
         for pos in outer[start:]:
@@ -394,9 +396,14 @@ def iter_valid_labelings(shape: LabeledPlaneTree) -> Iterator[LabeledPlaneTree]:
         below = tuple([built[c] for c in kids[last]])
         top = [built[c] for c in kids[n]]
         base = child_sum[n]
-        for k in range(child_sum[last] + 2):
-            top[slot] = _node(k, below)
-            yield _node(base + k, tuple(top))
+        for k in range(child_sum[last] + 2):  # ``_node`` inlined: two nodes per tree
+            top[slot] = node = new(tree)
+            set_label(node, k)
+            set_children(node, below)
+            root = new(tree)
+            set_label(root, base + k)
+            set_children(root, tuple(top))
+            yield root
         for start in range(len(outer) - 1, -1, -1):
             pos = outer[start]
             if label[pos] <= child_sum[pos]:

@@ -127,7 +127,8 @@ def oracle_H_identity_holds(order, coeffs):
 
 def oracle_s1342_closed_form(n):
     """The alternating closed form for s1342(n), summed in exact rationals."""
-    total = Fraction(7 * n * n - 3 * n - 2, 2) * (-1) ** (n - 1)
+    sign = 1 if n % 2 else -1  # (-1) ** (n - 1), an int at n = 0 too
+    total = Fraction(7 * n * n - 3 * n - 2, 2) * sign
     for i in range(2, n + 1):
         term = Fraction(2 ** (i + 1) * factorial(2 * i - 4), factorial(i) * factorial(i - 2))
         total += 3 * term * comb(n - i + 2, 2) * (-1) ** (n - i)

@@ -209,7 +209,7 @@ def test_every_route_gives_the_oracle_values_and_answers_up_to_its_ceiling(capsy
     pattern, method = key
     oracle = ROUTE_ORACLES[pattern]
     for lo, hi in ((0, 0), (0, 6), (3, 3), (1, 0), (5, 12), (0, 30), (29, 30)):
-        assert values(lo, hi) == [1 if n == 0 else oracle(n) for n in range(lo, hi + 1)], (lo, hi)
+        assert values(lo, hi) == [oracle(n) for n in range(lo, hi + 1)], (lo, hi)
     if ceiling == math.inf:
         return
     argv = ("count", "--pattern", "".join(map(str, pattern)), "--method", method, "--n")

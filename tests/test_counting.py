@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -481,6 +482,15 @@ def test_report_json_schema():
 def test_s1342_closed_matches_the_rational_formula_to_300():
     for n in range(1, 301):
         assert s1342_closed(n) == oracle_s1342_closed_form(n)
+
+
+def test_the_closed_form_oracle_is_exact_from_zero():
+    # s1342_closed refuses n = 0; the closed route's values give s(0) = 1
+    expected = counting._s1342_closed_values(0, 30)
+    for n in range(31):
+        value = oracle_s1342_closed_form(n)
+        assert type(value) is Fraction and value == expected[n], n
+        assert n == 0 or value == s1342_closed(n)
 
 
 @pytest.mark.parametrize("warm", [False, True])

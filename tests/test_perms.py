@@ -1,9 +1,12 @@
+import copy
+import pickle
 import random
 import sys
 import time
 import tracemalloc
 from itertools import permutations as iter_permutations
 from math import factorial
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,7 @@ from avoid1342 import (
     t_closed,
 )
 from avoid1342.errors import DomainError
+from avoid1342.perms import Selection
 
 from conftest import extents_refuse_1342, perm_strategy, random_valid_tree
 from oracles import (
@@ -455,6 +459,37 @@ def test_count_pinned_beyond_the_walk():
     assert count_avoiders(12, P1342) == 22214707
     # one loop over layers: no recursion depth and no size limit in the state
     assert count_avoiders(1500, P("21"), ceiling=1500) == 1
+
+
+# ---------------------------------------------------------------- values built unchecked
+
+def assert_a_whole_permutation(p):
+    # iter_avoiders, decompose and normalize build their results past the
+    # constructor's check (perms._perm): each must still be the value it checks
+    assert type(p) is Permutation and type(p.values) is tuple
+    checked = Permutation(p.values)
+    assert p == checked and hash(p) == hash(checked)
+    again = pickle.loads(pickle.dumps(p))
+    assert type(again) is Permutation and again == p
+    assert copy.copy(p) is p
+
+
+@pytest.mark.parametrize("pattern", ["1342", "2413", "132", "1234", "12345"])
+def test_streamed_avoiders_are_whole_permutations(pattern):
+    q = P(pattern)
+    for n in range(8):
+        for selection in get_args(Selection):
+            for p in iter_avoiders(n, q, selection):
+                assert_a_whole_permutation(p)
+
+
+def test_blocks_and_class_representatives_are_whole_permutations(all_perms_by_n):
+    for n in range(7):
+        for vals in all_perms_by_n[n]:
+            p = Permutation(vals)
+            for block in decompose(p):
+                assert_a_whole_permutation(block)
+            assert_a_whole_permutation(normalize(p))
 
 
 # ---------------------------------------------------------------- reduced occurrence states

@@ -1,3 +1,4 @@
+import pickle
 import sys
 import time
 from itertools import product
@@ -218,6 +219,18 @@ def test_generate_all_valid_and_distinct():
             text = serialize(tree)
             assert text not in seen
             seen.add(text)
+
+
+def test_generated_trees_are_whole_values():
+    # the generators build their nodes past the constructor's checks (trees._node, inlined
+    # in iter_valid_labelings' inner loop): each tree must still be the value it checks
+    for n in range(1, 8):
+        for tree in generate_all_beta01(n):
+            assert subtree_size(tree) == n and validate_beta01(tree)
+            assert all(type(node) is LabeledPlaneTree and type(node.children) is tuple
+                       for node in postorder_positions(tree))
+            assert parse(serialize(tree)) == tree
+            assert pickle.loads(pickle.dumps(tree)) == tree
 
 
 def test_generate_deterministic():
